@@ -231,7 +231,6 @@ class Batch:
     sentence_indices: list
     token_ids: np.ndarray      # (B, T)
     char_ids: np.ndarray       # (B, T, max_word_len)
-    word_lengths: np.ndarray   # (B, T)
     label_ids: dict            # task -> (B, T)
     lm_ids: np.ndarray         # (B, T) ids in the LM vocabulary
     tokens: list               # raw surface forms, per sentence
@@ -255,14 +254,12 @@ def encode_batch(sentences, indices, vocab, tasks=None):
     token_ids = np.zeros((B, T), dtype=np.int64)
     lm_ids = np.zeros((B, T), dtype=np.int64)
     char_ids = np.zeros((B, T, max_word), dtype=np.int64)
-    word_lengths = np.zeros((B, T), dtype=np.int64)
     for b, sent in enumerate(sentences):
         for t, tok in enumerate(sent.tokens):
             token_ids[b, t] = vocab.word_id(tok)
             lm_ids[b, t] = vocab.lm_word_id(tok)
             cs = vocab.char_ids(tok)
             char_ids[b, t, : len(cs)] = cs
-            word_lengths[b, t] = len(cs)
     label_ids = {}
     for task in tasks or []:
         m = vocab.labels_for(task)
@@ -271,7 +268,7 @@ def encode_batch(sentences, indices, vocab, tasks=None):
             if task in sent.labels:
                 mat[b] = [m[lab] for lab in sent.labels[task]]
         label_ids[task] = mat
-    return Batch(list(indices), token_ids, char_ids, word_lengths, label_ids,
+    return Batch(list(indices), token_ids, char_ids, label_ids,
                  lm_ids, [list(s.tokens) for s in sentences])
 
 

@@ -104,33 +104,14 @@ class BLSTM:
     def parameters(self):
         return [p for triple in self._dirs.values() for p in triple]
 
-    def _run(self, x, direction):
-        wx, wh, b = self._dirs[direction]
-        B, T, _ = x.shape
-        H = self.hidden
-        xw = nm.add(nm.matmul(x.reshape(B * T, self.d_in), wx), b).reshape(B, T, 4 * H)
-        h = Tensor(np.zeros((B, H)))
-        c = Tensor(np.zeros((B, H)))
-        steps = range(T) if direction == "fwd" else range(T - 1, -1, -1)
-        outputs = [None] * T
-        for t in steps:
-            gates = nm.add(xw[:, t, :], nm.matmul(h, wh))
-            i = nm.sigmoid(gates[:, 0 * H : 1 * H])
-            f = nm.sigmoid(gates[:, 1 * H : 2 * H])
-            g = nm.tanh(gates[:, 2 * H : 3 * H])
-            o = nm.sigmoid(gates[:, 3 * H : 4 * H])
-            c = nm.add(nm.mul(f, c), nm.mul(i, g))
-            h = nm.mul(o, nm.tanh(c))
-            outputs[t] = h
-        return nm.stack(outputs, axis=1)  # (B, T, H)
-
     def forward(self, x, dropout=None, mode="eval", rng=None):
         """(B, T, d_in) -> (B, T, 2H); output dropout applied in train mode."""
         if x.shape[-1] != self.d_in:
             raise EncoderError(
                 "input dimension %d != layer input size %d" % (x.shape[-1], self.d_in)
             )
-        out = nm.concat([self._run(x, "fwd"), self._run(x, "bwd")], axis=2)
+        out = nm.concat([nm.lstm_direction(x, *self._dirs["fwd"]),
+                         nm.lstm_direction(x, *self._dirs["bwd"], reverse=True)], axis=2)
         if mode == "train" and dropout is not None and dropout.blstm_output_rate > 0:
             out = nm.dropout(out, dropout.blstm_output_rate, rng)
         return out
@@ -169,8 +150,8 @@ class WordRepresentation:
             params.extend(self.elmo_weights.parameters())
         return params
 
-    def forward(self, batch, mode="eval", rng=None):
-        """Batch -> (B, T, d_repr) with input dropout in train mode."""
+    def forward(self, batch):
+        """Batch -> (B, T, d_repr); input dropout is the caller's."""
         from .embeddings import elmo_combine
 
         B, T = batch.token_ids.shape
@@ -184,7 +165,4 @@ class WordRepresentation:
                 layers = self.contextual_store.lookup(tokens)
                 ctx_rows.append(elmo_combine(layers, self.elmo_weights))
             parts.append(nm.stack(ctx_rows, axis=0))  # (B, T, d_ctx)
-        out = nm.concat(parts, axis=2)
-        if mode == "train" and self.dropout.input_rate > 0:
-            out = nm.dropout(out, self.dropout.input_rate, rng)
-        return out
+        return nm.concat(parts, axis=2)

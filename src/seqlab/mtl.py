@@ -138,7 +138,7 @@ class Model:
         if task not in spec.tasks:
             raise SpecError("task %r not present in %s model" % (task, spec.topology))
         train = mode == "train"
-        raw = self.word_repr.forward(batch, mode="eval")
+        raw = self.word_repr.forward(batch)
         x = nm.dropout(raw, self.dropout.input_rate, rng) if train else raw
 
         level_states = {}
@@ -223,9 +223,8 @@ def build_model(spec, vocab, embedding_matrix=None, contextual_store=None):
     word_repr = WordRepresentation(vocab, embedding_matrix, char_cnn,
                                    elmo_weights=elmo,
                                    contextual_store=contextual_store,
-                                   dropout=dropout)
-    if spec.elmo_frozen and elmo is not None:
-        word_repr.elmo_trainable = False
+                                   dropout=dropout,
+                                   elmo_trainable=not spec.elmo_frozen)
     d_repr = word_repr.d_repr
     blstms = {}
     for level in spec.levels:

@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Parameter",
+    "make_node",
     "RngState",
     "NumericError",
     "log_sum_exp",
@@ -29,6 +30,8 @@ __all__ = [
     "tsum",
     "tmax",
     "logsumexp",
+    "lstm_direction",
+    "learning_rate",
     "gather",
     "gather_nd",
     "dropout",
@@ -162,7 +165,9 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, backward):
+def make_node(data, parents, backward):
+    """Tensor holding `data`; when a parent needs gradients it joins the tape,
+    and `backward(grad)` adds its parents' gradients."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -183,7 +188,7 @@ def add(a, b):
         if b.requires_grad:
             b.accumulate(_unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, (a, b), backward)
+    return make_node(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b):
@@ -195,7 +200,7 @@ def mul(a, b):
         if b.requires_grad:
             b.accumulate(_unbroadcast(g * a.data, b.shape))
 
-    return _make(a.data * b.data, (a, b), backward)
+    return make_node(a.data * b.data, (a, b), backward)
 
 
 def matmul(a, b):
@@ -207,7 +212,7 @@ def matmul(a, b):
         if b.requires_grad:
             b.accumulate(a.data.T @ g)
 
-    return _make(a.data @ b.data, (a, b), backward)
+    return make_node(a.data @ b.data, (a, b), backward)
 
 
 def tanh(a):
@@ -217,7 +222,7 @@ def tanh(a):
     def backward(g):
         a.accumulate(g * (1.0 - out_data * out_data))
 
-    return _make(out_data, (a,), backward)
+    return make_node(out_data, (a,), backward)
 
 
 def sigmoid(a):
@@ -227,7 +232,7 @@ def sigmoid(a):
     def backward(g):
         a.accumulate(g * out_data * (1.0 - out_data))
 
-    return _make(out_data, (a,), backward)
+    return make_node(out_data, (a,), backward)
 
 
 def exp(a):
@@ -237,7 +242,7 @@ def exp(a):
     def backward(g):
         a.accumulate(g * out_data)
 
-    return _make(out_data, (a,), backward)
+    return make_node(out_data, (a,), backward)
 
 
 def log(a):
@@ -246,7 +251,7 @@ def log(a):
     def backward(g):
         a.accumulate(g / a.data)
 
-    return _make(np.log(a.data), (a,), backward)
+    return make_node(np.log(a.data), (a,), backward)
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -257,7 +262,7 @@ def tsum(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         a.accumulate(np.broadcast_to(g, a.shape).copy())
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return make_node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tmax(a, axis):
@@ -272,7 +277,7 @@ def tmax(a, axis):
         np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
         a.accumulate(full)
 
-    return _make(out_data, (a,), backward)
+    return make_node(out_data, (a,), backward)
 
 
 def logsumexp(a, axis):
@@ -284,7 +289,7 @@ def logsumexp(a, axis):
         soft = np.exp(a.data - np.expand_dims(out_data, axis))
         a.accumulate(np.expand_dims(g, axis) * soft)
 
-    return _make(out_data, (a,), backward)
+    return make_node(out_data, (a,), backward)
 
 
 def reshape(a, *shape):
@@ -295,7 +300,7 @@ def reshape(a, *shape):
     def backward(g):
         a.accumulate(g.reshape(a.shape))
 
-    return _make(a.data.reshape(shape), (a,), backward)
+    return make_node(a.data.reshape(shape), (a,), backward)
 
 
 def concat(tensors, axis):
@@ -308,7 +313,7 @@ def concat(tensors, axis):
             if t.requires_grad:
                 t.accumulate(piece)
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    return make_node(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def stack(tensors, axis=0):
@@ -319,18 +324,19 @@ def stack(tensors, axis=0):
             if t.requires_grad:
                 t.accumulate(np.take(g, i, axis=axis))
 
-    return _make(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
+    return make_node(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def _getitem(a, key):
-    """Basic (slice/int) indexing with gradient scatter-back."""
+    """Basic (slice/int) indexing; backward adds into the matching view of
+    the input's gradient."""
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        a.accumulate(full)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g
 
-    return _make(a.data[key], (a,), backward)
+    return make_node(a.data[key], (a,), backward)
 
 
 def gather(a, indices):
@@ -343,7 +349,7 @@ def gather(a, indices):
         np.add.at(full, indices.reshape(-1), g.reshape(-1, *a.shape[1:]))
         a.accumulate(full)
 
-    return _make(a.data[indices], (a,), backward)
+    return make_node(a.data[indices], (a,), backward)
 
 
 def gather_nd(a, *index_arrays):
@@ -356,7 +362,68 @@ def gather_nd(a, *index_arrays):
         np.add.at(full, idx, g)
         a.accumulate(full)
 
-    return _make(a.data[idx], (a,), backward)
+    return make_node(a.data[idx], (a,), backward)
+
+
+def lstm_direction(x, wx, wh, b, reverse=False):
+    """One LSTM direction over (B, T, d) inputs as a single tape node.
+
+    `wx` (d, 4H), `wh` (H, 4H) and `b` (4H,) hold the gates in the order
+    input, forget, cell, output; the state starts at zero, and `reverse`
+    runs the recurrence from the last timestep to the first. Returns the
+    (B, T, H) hidden states. The forward caches every step's gate
+    activations; the backward is hand-written BPTT that performs the same
+    floating-point operations in the same order as the per-step graph of
+    `add`/`matmul`/`sigmoid`/`tanh`/`mul` nodes it replaces, so both give
+    bit-identical gradients.
+    """
+    x, wx, wh, b = (_as_tensor(t) for t in (x, wx, wh, b))
+    B, T, d = x.shape
+    H = wh.shape[0]
+    x2d = x.data.reshape(B * T, d)
+    xw = (x2d @ wx.data + b.data).reshape(B, T, 4 * H)
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    out = np.empty((B, T, H))
+    cache = []
+    for t in steps:
+        gates = xw[:, t, :] + h @ wh.data
+        act = 1.0 / (1.0 + np.exp(-gates))
+        i, f, o = act[:, :H], act[:, H : 2 * H], act[:, 3 * H :]
+        g = np.tanh(gates[:, 2 * H : 3 * H])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        out[:, t, :] = h
+        cache.append((t, h_prev, c_prev, i, f, g, o, tc))
+
+    def backward(grad):
+        dxw = np.empty((B, T, 4 * H))
+        dgates = np.empty((B, 4 * H))
+        dh_next = dc_next = 0.0
+        for t, h_prev, c_prev, i, f, g, o, tc in reversed(cache):
+            dh = grad[:, t, :] + dh_next
+            dc = (dh * o) * (1.0 - tc * tc) + dc_next
+            dgates[:, :H] = ((dc * g) * i) * (1.0 - i)
+            dgates[:, H : 2 * H] = ((dc * c_prev) * f) * (1.0 - f)
+            dgates[:, 2 * H : 3 * H] = (dc * i) * (1.0 - g * g)
+            dgates[:, 3 * H :] = ((dh * tc) * o) * (1.0 - o)
+            dxw[:, t, :] = dgates
+            dc_next = dc * f
+            dh_next = dgates @ wh.data.T
+            if wh.requires_grad:
+                wh.accumulate(h_prev.T @ dgates)
+        dxw2d = dxw.reshape(B * T, 4 * H)
+        if x.requires_grad:
+            x.accumulate((dxw2d @ wx.data.T).reshape(B, T, d))
+        if wx.requires_grad:
+            wx.accumulate(x2d.T @ dxw2d)
+        if b.requires_grad:
+            b.accumulate(dxw2d.sum(axis=0))
+
+    return make_node(out, (x, wx, wh, b), backward)
 
 
 def dropout(a, rate, rng):
@@ -423,6 +490,11 @@ def grad_check(loss_fn, params, eps=1e-5):
     return max_rel
 
 
+def learning_rate(base_lr, decay, epoch):
+    """lr_e = base_lr / (1 + decay * e)."""
+    return base_lr / (1.0 + decay * epoch)
+
+
 def sgd_step(params, base_lr, decay, epoch, clip_norm=5.0):
     """SGD update with 1/(1 + decay*epoch) learning-rate decay.
 
@@ -434,7 +506,7 @@ def sgd_step(params, base_lr, decay, epoch, clip_norm=5.0):
             p.zero_grad()
         if not np.isfinite(p.grad).all():
             raise NumericError("non-finite gradient in parameter %r" % p.name)
-    lr = base_lr / (1.0 + decay * epoch)
+    lr = learning_rate(base_lr, decay, epoch)
     if clip_norm is not None:
         total = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in params))
         if total > clip_norm:

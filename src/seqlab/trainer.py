@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .corpus import make_batches
 from .evaluation import f1_score
 from .mtl import save_checkpoint
-from .numeric import RngState, sgd_step
+from .numeric import RngState, learning_rate, sgd_step
 
 
 class TrainerError(ValueError):
@@ -105,6 +105,12 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
     Per epoch: schedule batches per the topology, update with decayed SGD,
     evaluate main-task dev F1, checkpoint on improvement, stop at the epoch
     limit or when patience is exhausted.
+
+    Each history record holds the epoch's learning rate, the mean task loss
+    over the steps of each task (`main_loss`, `aux_loss`), `lm_loss`, and the
+    dev scores. `lm_loss` is the mean of lambda * (E_fwd + E_bwd) over every
+    step in the schedule: when lm_mode is not `none`, every step of either
+    task carries the LM term, so the schedule length is its step count.
     """
     spec = model.spec
     if spec.topology != "single" and aux_corpus is None:
@@ -126,7 +132,7 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
         schedule = _epoch_schedule(spec, main_batches, aux_batches, rng_task)
         sums = {"main": 0.0, "auxiliary": 0.0, "lm": 0.0}
         counts = {"main": 0, "auxiliary": 0}
-        lr = config.base_lr / (1.0 + config.decay * epoch)
+        lr = learning_rate(config.base_lr, config.decay, epoch)
         for batch_index, (role, batch) in enumerate(schedule):
             result = model.forward_task(batch, task_names[role], mode="train",
                                         rng=rng_dropout)
