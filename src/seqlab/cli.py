@@ -2,30 +2,15 @@
 gradient checking, and self-verification."""
 
 import argparse
-import json
 import os
 import sys
-import time
 
-import numpy as np
-
-from .corpus import (
-    Sentence,
-    TaggedCorpus,
-    build_vocab,
-    encode_batch,
-    make_batches,
-    parse_conll,
-    corpus_stats,
-    render_stats,
-)
-from .crf import CRFLayer, brute_force, crf_log_z, viterbi_decode
+from .corpus import build_vocab, parse_conll, corpus_stats, render_stats
 from .embeddings import load_pretrained, load_contextual_store, random_embeddings
 from .evaluation import f1_score, read_scored_file, render_conlleval
 from .mtl import ModelSpec, build_model, load_checkpoint
-from .numeric import RngState, Tensor, grad_check
-from .scorer_fixtures import FIXTURES, run_fixture
-from .trainer import TrainConfig, evaluate_model, train
+from .selftest import FIXTURES, crf_exactness_suite, gradcheck_suite, run_fixture
+from .trainer import TrainConfig, evaluate_model, predict_corpus, train
 
 
 class CliError(ValueError):
@@ -33,7 +18,7 @@ class CliError(ValueError):
 
 
 # Config keys follow the hyper-parameter table naming; each entry is
-# (type, default, ModelSpec/TrainConfig destination).
+# (type, default).
 CONFIG_SCHEMA = {
     "hidden_size": (int, 256),
     "char_dim": (int, 30),
@@ -188,16 +173,6 @@ def cmd_train(args):
     return 0
 
 
-def _predict_corpus(model, corpus, batch_size=16):
-    batches = make_batches(corpus, model.vocab, batch_size, RngState(0))
-    pred = [None] * len(corpus.sentences)
-    for batch in batches:
-        labels = model.predict_labels(batch, model.spec.main_task)
-        for i, idx in enumerate(batch.sentence_indices):
-            pred[idx] = labels[i]
-    return pred
-
-
 def cmd_evaluate(args):
     if args.scored:
         with open(args.scored, encoding="utf-8") as fh:
@@ -222,7 +197,7 @@ def cmd_predict(args):
     model = _load_model(args)
     task = model.spec.main_task
     corpus = _read_corpus(args.input, task, "test", args)
-    pred = _predict_corpus(model, corpus)
+    pred = predict_corpus(model, corpus, task)
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     try:
         for sentence, labels in zip(corpus.sentences, pred):
@@ -235,62 +210,6 @@ def cmd_predict(args):
     return 0
 
 
-def _toy_corpora(seed):
-    """Deterministic two-task micro-corpus for gradient checking."""
-    words = [("ada", "B-AAA"), ("cor", "B-BBB"), ("the", "O"), ("ran", "O")]
-    rng = RngState(seed).child("toy")
-    sentences = []
-    for _ in range(4):
-        picks = [words[int(rng.integers(0, len(words)))] for _ in range(4)]
-        fine = [lab for _, lab in picks]
-        coarse = ["O" if lab == "O" else lab[:2] + "ENT" for lab in fine]
-        sentences.append(Sentence([w for w, _ in picks],
-                                  {"main": fine, "aux": coarse}))
-
-    def label_set(task):
-        seen, out = set(), []
-        for s in sentences:
-            for lab in s.labels[task]:
-                if lab not in seen:
-                    seen.add(lab)
-                    out.append(lab)
-        return out
-
-    main = TaggedCorpus("main", "train", sentences, label_set("main"))
-    aux = TaggedCorpus("aux", "train", sentences, label_set("aux"))
-    return main, aux
-
-
-def gradcheck_suite(seed=0):
-    """End-to-end grad_check on every buildable topology x lm_mode combo.
-
-    Returns [(topology, lm_mode, max relative error), ...].
-    """
-    main, aux = _toy_corpora(seed)
-    vocab = build_vocab([main, aux], lm_vocab_size=20)
-    results = []
-    for topology in ("single", "embedding_shared", "rnn_shared", "hierarchical"):
-        for lm_mode in ("none", "shared", "unshared"):
-            if topology == "single" and lm_mode == "unshared":
-                continue
-            spec = ModelSpec(topology=topology, main_task="main",
-                             aux_task=None if topology == "single" else "aux",
-                             lm_mode=lm_mode, hidden=3, d_word=3, d_char=2,
-                             char_window=3, char_filters=2, lam=0.05, seed=seed)
-            model = build_model(spec, vocab)
-            batch = encode_batch(main.sentences[:2], [0, 1], vocab,
-                                 tasks=["main", "aux"])
-
-            def loss():
-                return model.forward_task(batch, "main", mode="eval").loss
-
-            # eps balances central-difference roundoff (dominant below 1e-4
-            # for near-zero gradient entries) against truncation error
-            results.append((topology, lm_mode,
-                            grad_check(loss, model.parameters(), eps=1e-4)))
-    return results
-
-
 def cmd_gradcheck(args):
     worst = 0.0
     for topology, lm_mode, err in gradcheck_suite(args.seed):
@@ -298,27 +217,6 @@ def cmd_gradcheck(args):
         worst = max(worst, err)
     print("overall max rel. error %.3e (bound 1e-4)" % worst)
     return 0 if worst < 1e-4 else 1
-
-
-def crf_exactness_suite(n_instances=200, seed=0, tol=1e-9):
-    """Random small CRFs checked against brute-force path enumeration.
-
-    Returns (n_failures, elapsed_seconds).
-    """
-    rng = RngState(seed).child("crf-exactness")
-    failures = 0
-    start = time.monotonic()
-    for i in range(n_instances):
-        T = int(rng.integers(1, 7))
-        L = int(rng.integers(2, 6))
-        layer = CRFLayer(d_in=L, n_labels=L, seed=seed + i, prefix="selftest")
-        h = rng.uniform(-2, 2, (T, L))
-        log_z_bf, best_path, _ = brute_force(h, layer)
-        log_z = crf_log_z(layer.emissions(Tensor(h[None])), layer).item()
-        path = viterbi_decode(h, layer)
-        if abs(log_z - log_z_bf) >= tol or list(path.labels) != list(best_path):
-            failures += 1
-    return failures, time.monotonic() - start
 
 
 def cmd_selftest(args):

@@ -27,7 +27,6 @@ def normalize_word(token):
 class Sentence:
     tokens: list
     labels: dict = field(default_factory=dict)  # task name -> label sequence
-    line_span: tuple = (0, 0)
 
     def __post_init__(self):
         if len(self.tokens) < 1:
@@ -81,10 +80,9 @@ def parse_conll(text, token_column=0, label_column=1, task_name="main",
     label_set = []
     seen_labels = set()
     tokens, labels = [], []
-    start_line = 1
     need = max(token_column, label_column) + 1
 
-    def flush(end_line):
+    def flush():
         if not tokens:
             return
         labs = iob1_to_bio2(labels) if scheme == "iob1" else list(labels)
@@ -92,16 +90,14 @@ def parse_conll(text, token_column=0, label_column=1, task_name="main",
             if lab not in seen_labels:
                 seen_labels.add(lab)
                 label_set.append(lab)
-        sentences.append(Sentence(list(tokens), {task_name: labs}, (start_line, end_line)))
+        sentences.append(Sentence(list(tokens), {task_name: labs}))
         tokens.clear()
         labels.clear()
 
-    lineno = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
-            flush(lineno - 1)
-            start_line = lineno + 1
+            flush()
             continue
         if stripped.startswith("-DOCSTART-"):
             continue
@@ -110,11 +106,9 @@ def parse_conll(text, token_column=0, label_column=1, task_name="main",
             raise CorpusError(
                 "line %d has %d columns, need at least %d" % (lineno, len(cols), need)
             )
-        if not tokens:
-            start_line = lineno
         tokens.append(cols[token_column])
         labels.append(cols[label_column])
-    flush(lineno)
+    flush()
     return TaggedCorpus(task_name, split, sentences, label_set)
 
 
@@ -272,11 +266,12 @@ def encode_batch(sentences, indices, vocab, tasks=None):
                  lm_ids, [list(s.tokens) for s in sentences])
 
 
-def make_batches(corpus, vocab, batch_size, rng):
+def make_batches(corpus, vocab, batch_size, rng, with_labels=True):
     """Group sentences by exact length, shuffle within groups, chunk, shuffle.
 
     Every batch holds sentences of one token length; the final partial batch
-    of each length group is kept.
+    of each length group is kept. With `with_labels` False the batches carry
+    no gold label ids, so labels the vocabulary lacks are no error.
     """
     if batch_size < 1:
         raise CorpusError("batch_size must be >= 1")
@@ -291,7 +286,7 @@ def make_batches(corpus, vocab, batch_size, rng):
             chunk = idxs[start : start + batch_size]
             batches.append(
                 encode_batch([corpus.sentences[i] for i in chunk], chunk, vocab,
-                             tasks=[corpus.task_name])
+                             tasks=[corpus.task_name] if with_labels else None)
             )
     rng.shuffle(batches)
     return batches

@@ -19,9 +19,8 @@ class CrfError(ValueError):
 
 @dataclass
 class PathScore:
-    labels: list
-    score: float
-    log_prob: float
+    labels: np.ndarray  # (B, T) label ids
+    score: np.ndarray   # (B,) unnormalized score of each path
 
 
 class CRFLayer:
@@ -196,40 +195,44 @@ def softmax_nll_batch(h, gold, layer):
     return nm.mul(nm.tsum(nll), 1.0 / B)
 
 
-def _emission_matrix(h, layer):
+def emission_scores(h, layer):
+    """Numpy emission scores h @ proj_w + proj_b; (..., d) -> (..., L)."""
     h = h.data if isinstance(h, Tensor) else np.asarray(h, dtype=np.float64)
-    if h.ndim != 2:
-        raise CrfError("expected (T, d) hidden states, got shape %s" % (h.shape,))
     return h @ layer.proj_w.data + layer.proj_b.data
 
 
 def viterbi_decode(h, layer):
-    """Best label sequence for one sentence; ties break toward the lower
-    label id at each backtrack step."""
-    e = _emission_matrix(h, layer)
-    T, L = e.shape
+    """Best label sequence of every sentence in a (B, T, d) batch of hidden
+    states; ties break toward the lower label id at each step."""
+    e = emission_scores(h, layer)
+    if e.ndim != 3:
+        raise CrfError("expected (B, T, d) hidden states, got %d axes" % e.ndim)
+    B, T, L = e.shape
     trans = layer.transitions.data
-    delta = trans[layer.start, :L] + e[0]
-    back = np.zeros((T, L), dtype=np.int64)
+    block = trans[:L, :L]
+    delta = np.empty((B, T, L))
+    back = np.empty((B, T, L), dtype=np.intp)
+    delta[:, 0] = trans[layer.start, :L] + e[:, 0]
+    scores = np.empty((B, L, L))
     for t in range(1, T):
-        scores = delta[:, None] + trans[:L, :L] + e[t][None, :]
-        back[t] = np.argmax(scores, axis=0)  # first max = lowest label id
-        delta = scores[back[t], np.arange(L)]
-    final = delta + trans[:L, layer.stop]
-    last = int(np.argmax(final))
-    path = [last]
+        _step_scores(delta, block, e, t, scores)
+        scores.argmax(axis=1, out=back[:, t])  # first max = lowest label id
+        scores.max(axis=1, out=delta[:, t])
+    final = delta[:, -1] + trans[:L, layer.stop]
+    rows = np.arange(B)
+    labels = np.empty((B, T), dtype=np.int64)
+    labels[:, -1] = final.argmax(axis=1)
     for t in range(T - 1, 0, -1):
-        last = int(back[t, last])
-        path.append(last)
-    path.reverse()
-    score = float(final[path[-1]])
-    log_z = _forward(e[None], layer)[1][0]
-    return PathScore(path, score, score - log_z)
+        labels[:, t - 1] = back[rows, t, labels[:, t]]
+    return PathScore(labels, final[rows, labels[:, -1]])
 
 
 def brute_force(h, layer):
-    """Enumerate all L^T label sequences: exact logZ, argmax, distribution."""
-    e = _emission_matrix(h, layer)
+    """Enumerate all L^T label sequences of one (T, d) sentence: exact logZ,
+    argmax, distribution."""
+    e = emission_scores(h, layer)
+    if e.ndim != 2:
+        raise CrfError("expected (T, d) hidden states, got %d axes" % e.ndim)
     T, L = e.shape
     if L ** T > BRUTE_FORCE_GUARD:
         raise CrfError("brute force guard exceeded: %d^%d paths" % (L, T))

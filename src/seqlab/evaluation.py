@@ -146,34 +146,6 @@ def render_conlleval(report):
     return "\n".join(lines) + "\n"
 
 
-def report_records(report):
-    """Structured records mirroring the text report."""
-    recs = [{
-        "record": "overall",
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "token_accuracy": report.token_accuracy,
-        "tokens": report.n_tokens,
-        "gold": report.n_gold,
-        "predicted": report.n_predicted,
-        "correct": report.n_correct,
-    }]
-    for typ, ts in report.per_type.items():
-        recs.append({
-            "record": "type",
-            "type": typ,
-            "precision": ts.precision,
-            "recall": ts.recall,
-            "f1": ts.f1,
-            "gold": ts.gold,
-            "predicted": ts.predicted,
-            "correct": ts.correct,
-            "gold_mean_length": report.gold_mean_length.get(typ, 0.0),
-        })
-    return recs
-
-
 def read_scored_file(text):
     """Parse the two-column scorer convention: token ... gold pred per line."""
     if hasattr(text, "read"):

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numeric as nm
-from .crf import CRFLayer, crf_nll_batch, softmax_nll_batch, viterbi_decode
+from .crf import (CRFLayer, crf_nll_batch, emission_scores, softmax_nll_batch,
+                  viterbi_decode)
 from .embeddings import ElmoWeights, random_embeddings
 from .encoders import BLSTM, CharCNN, DropoutSpec, WordRepresentation
 from .lm import LMHead, joint_loss, lm_losses
@@ -180,21 +181,17 @@ class Model:
         return result
 
     def decode(self, batch, task):
-        """Viterbi label-id sequences for every sentence in the batch."""
-        result = self.forward_task(batch, task, mode="eval", with_loss=False)
+        """(B, T) label ids: the Viterbi path of every sentence in the batch,
+        or the per-token argmax under the per-step softmax ablation."""
+        states = self.forward_task(batch, task, mode="eval", with_loss=False).states
         head = self.crf_heads[task]
-        out = []
-        for b in range(batch.size):
-            if self.spec.crf_enabled:
-                out.append(viterbi_decode(result.states.data[b], head).labels)
-            else:
-                e = result.states.data[b] @ head.proj_w.data + head.proj_b.data
-                out.append([int(i) for i in np.argmax(e, axis=1)])
-        return out
+        if self.spec.crf_enabled:
+            return viterbi_decode(states, head).labels
+        return emission_scores(states, head).argmax(axis=2)
 
     def predict_labels(self, batch, task):
         names = self.vocab.label_names(task)
-        return [[names[i] for i in seq] for seq in self.decode(batch, task)]
+        return [[names[i] for i in seq] for seq in self.decode(batch, task).tolist()]
 
 
 def build_model(spec, vocab, embedding_matrix=None, contextual_store=None):

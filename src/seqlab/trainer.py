@@ -52,18 +52,24 @@ def sample_task(main_size, aux_size, rng):
     return "main" if rng.bernoulli(p_main) else "auxiliary"
 
 
+def predict_corpus(model, corpus, task, batch_size=16):
+    """Tag a corpus (eval mode); predicted label strings in corpus order.
+
+    The batches carry no gold label ids, so a gold label that was unseen in
+    training is no error; scored, it counts as a missed phrase.
+    """
+    pred = [None] * len(corpus.sentences)
+    for batch in make_batches(corpus, model.vocab, batch_size, RngState(0),
+                              with_labels=False):
+        for idx, labels in zip(batch.sentence_indices, model.predict_labels(batch, task)):
+            pred[idx] = labels
+    return pred
+
+
 def evaluate_model(model, corpus, task, batch_size=16):
     """Decode a corpus (eval mode) and score it against gold labels."""
-    vocab = model.vocab
-    batches = make_batches(corpus, vocab, batch_size, RngState(0))
-    gold = [None] * len(corpus.sentences)
-    pred = [None] * len(corpus.sentences)
-    for batch in batches:
-        labels = model.predict_labels(batch, task)
-        for i, idx in enumerate(batch.sentence_indices):
-            gold[idx] = corpus.sentences[idx].labels[task]
-            pred[idx] = labels[i]
-    return f1_score(gold, pred)
+    gold = [s.labels[task] for s in corpus.sentences]
+    return f1_score(gold, predict_corpus(model, corpus, task, batch_size))
 
 
 def _epoch_schedule(spec, main_batches, aux_batches, rng_task):

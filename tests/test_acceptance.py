@@ -10,14 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from seqlab.cli import crf_exactness_suite, gradcheck_suite
 from seqlab.corpus import encode_batch
 from seqlab.embeddings import ElmoWeights, elmo_combine
 from seqlab.evaluation import f1_score
 from seqlab.lm import LMHead
 from seqlab.mtl import ModelSpec, build_model
 from seqlab.numeric import RngState
-from seqlab.scorer_fixtures import FIXTURES, run_fixture
+from seqlab.selftest import FIXTURES, crf_exactness_suite, gradcheck_suite, run_fixture
 from seqlab.trainer import TrainConfig, sample_task, train
 from synthetic_data import COARSE, FINE, make_corpus, make_vocab, tiny_spec_kwargs
 

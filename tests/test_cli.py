@@ -144,6 +144,25 @@ class TestTrainEvaluatePredict:
         source = (data_dir / "dev.conll").read_text().splitlines()
         assert len(body) == len([line for line in source if line.strip()])
 
+    def test_unseen_gold_label_scores_as_miss(self, run_dir, tmp_path, capsys):
+        test = tmp_path / "unseen.conll"
+        test.write_text("ada B-ZZZ\nthe O\n\nport B-ZZZ\nerin I-ZZZ\n")
+        unseen = "              ZZZ: precision:   0.00%; recall:   0.00%; FB1:   0.00  0"
+        assert main(["evaluate", "--model", str(run_dir / "best"),
+                     "--test", str(test)]) == 0
+        out, err = capsys.readouterr()
+        assert "with 2 phrases" in out
+        assert unseen in out.splitlines()
+        assert err == ""
+        scored = tmp_path / "scored.txt"
+        assert main(["predict", "--model", str(run_dir / "best"),
+                     "--input", str(test), "--output", str(scored)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [line.split()[1] for line in scored.read_text().splitlines() if line] == [
+            "B-ZZZ", "O", "B-ZZZ", "I-ZZZ"]
+        assert main(["evaluate", "--scored", str(scored)]) == 0
+        assert out == capsys.readouterr().out
+
     def test_aux_train_runs(self, data_dir, tmp_path, capsys):
         status = main([
             "train",

@@ -102,31 +102,58 @@ class TestCrfNll:
         assert softmax_nll_batch(hb, gold, layer).item() == pytest.approx(before)
 
 
+def decode_one(h, layer):
+    """Viterbi path and score of one (T, d) sentence through the batched API."""
+    ps = viterbi_decode(h[None], layer)
+    return ps.labels[0].tolist(), float(ps.score[0])
+
+
 class TestViterbi:
     def test_decoupled_argmax(self):
         L = 3
         layer = make_layer(L, L, zero=True)
         layer.proj_w.data[...] = 10.0 * np.eye(L)
         h = np.eye(L)[[2, 0, 1]]
-        assert viterbi_decode(h, layer).labels == [2, 0, 1]
+        assert decode_one(h, layer)[0] == [2, 0, 1]
 
     def test_matches_brute_force(self):
         rng = RngState(9)
         h, layer = random_instance(rng, T=3, L=3)
-        log_z, best, _ = brute_force(h, layer)
-        ps = viterbi_decode(h, layer)
-        assert ps.labels == best
-        assert ps.log_prob == pytest.approx(ps.score - log_z, abs=1e-9)
-        assert ps.log_prob <= 0.0
+        log_z, best, dist = brute_force(h, layer)
+        labels, score = decode_one(h, layer)
+        assert labels == best
+        assert score == pytest.approx(log_z + dist[tuple(best)], abs=1e-9)
 
     def test_tie_breaks_to_lower_label(self):
         layer = make_layer(2, 2, zero=True)
         h = np.zeros((3, 2))  # all 2^3 paths tie
-        ps = viterbi_decode(h, layer)
-        assert ps.labels == [0, 0, 0]
+        assert decode_one(h, layer)[0] == [0, 0, 0]
         _, _, dist = brute_force(h, layer)
         best = max(dist.values())
         assert dist[(0, 0, 0)] == pytest.approx(best)
+
+    def test_batch_rows_match_brute_force(self):
+        rng = RngState(13)
+        for T in (1, 2, 5):
+            _, layer = random_instance(rng, T, L=4)
+            hs = rng.uniform(-2, 2, (6, T, 4))
+            ps = viterbi_decode(hs, layer)
+            assert ps.labels.shape == (6, T) and ps.score.shape == (6,)
+            for b in range(6):
+                log_z, best, dist = brute_force(hs[b], layer)
+                assert ps.labels[b].tolist() == best
+                assert abs(ps.score[b] - (log_z + dist[tuple(best)])) < 1e-9
+
+    def test_batch_all_ties(self):
+        layer = make_layer(3, 4, zero=True)
+        ps = viterbi_decode(np.zeros((5, 6, 3)), layer)
+        assert np.array_equal(ps.labels, np.zeros((5, 6), dtype=np.int64))
+        assert np.array_equal(ps.score, np.zeros(5))
+
+    def test_rejects_unbatched_states(self):
+        layer = make_layer(2, 2, zero=True)
+        with pytest.raises(CrfError, match="expected"):
+            viterbi_decode(np.zeros((3, 2)), layer)
 
 
 class TestBruteForce:
@@ -148,6 +175,11 @@ class TestBruteForce:
         with pytest.raises(CrfError, match="guard"):
             brute_force(np.zeros((20, 2)), layer)
 
+    def test_rejects_batched_states(self):
+        layer = make_layer(2, 2, zero=True)
+        with pytest.raises(CrfError, match="expected"):
+            brute_force(np.zeros((1, 3, 2)), layer)
+
 
 class TestExactness:
     def test_forward_vs_brute_force_random_suite(self):
@@ -160,7 +192,7 @@ class TestExactness:
             e = Tensor((h @ layer.proj_w.data + layer.proj_b.data)[None])
             log_z_fwd = crf_log_z(e, layer).item()
             assert abs(log_z_fwd - log_z_bf) < 1e-9
-            ps = viterbi_decode(h, layer)
+            labels, score = decode_one(h, layer)
             bf_best_score = log_z_bf + max(dist.values())
-            assert ps.score == pytest.approx(bf_best_score, abs=1e-9)
-            assert ps.labels == best
+            assert score == pytest.approx(bf_best_score, abs=1e-9)
+            assert labels == best

@@ -9,7 +9,7 @@ from seqlab.evaluation import (
     read_scored_file,
     render_conlleval,
 )
-from seqlab.scorer_fixtures import FIXTURES, run_fixture
+from seqlab.selftest import FIXTURES, run_fixture
 
 
 class TestExtractChunks:

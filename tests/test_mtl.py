@@ -181,6 +181,20 @@ class TestForwardTask:
         assert all(len(seq) == batch.length for seq in labels)
         assert all(lab in names for seq in labels for lab in seq)
 
+    def test_decode_without_crf_is_per_token_argmax(self):
+        model = build_model(spec_for("single", crf_enabled=False), VOCAB)
+        batch = batch_of(4)
+        assert batch.size > 1
+        head = model.crf_heads[FINE]
+        # the per-step softmax ablation never reads the transitions
+        head.transitions.data[...] = RngState(3).uniform(-50, 50, head.transitions.shape)
+        states = model.forward_task(batch, FINE, with_loss=False).states.data
+        got = model.decode(batch, FINE)
+        assert got.shape == (batch.size, batch.length)
+        for b in range(batch.size):
+            e = states[b] @ head.proj_w.data + head.proj_b.data
+            assert np.array_equal(got[b], np.argmax(e, axis=1))
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
