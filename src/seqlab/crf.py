@@ -11,6 +11,8 @@ from .numeric import Parameter, Tensor, glorot_uniform, param_rng
 
 MASK = -1e4  # stand-in for -inf that keeps gradients defined
 BRUTE_FORCE_GUARD = 10 ** 6
+# float64 elements (512 KiB) of Viterbi's per-step score buffer
+VITERBI_BUFFER_ELEMS = 2 ** 16
 
 
 class CrfError(ValueError):
@@ -203,27 +205,40 @@ def emission_scores(h, layer):
 
 def viterbi_decode(h, layer):
     """Best label sequence of every sentence in a (B, T, d) batch of hidden
-    states; ties break toward the lower label id at each step."""
+    states; ties break toward the lower label id at each step.
+
+    Each step's scores are laid out (rows, L_to, L_from), the transpose of
+    `_step_scores`, so that max and argmax reduce over the contiguous last
+    axis (numpy's argmax over any other axis copies the whole block into a
+    freshly allocated array). The batch is decoded in groups of rows whose
+    step buffer fits VITERBI_BUFFER_ELEMS, so the four passes of each step
+    stay in a core's own cache whatever B is.
+    """
     e = emission_scores(h, layer)
     if e.ndim != 3:
         raise CrfError("expected (B, T, d) hidden states, got %d axes" % e.ndim)
     B, T, L = e.shape
     trans = layer.transitions.data
-    block = trans[:L, :L]
-    delta = np.empty((B, T, L))
-    back = np.empty((B, T, L), dtype=np.intp)
-    delta[:, 0] = trans[layer.start, :L] + e[:, 0]
-    scores = np.empty((B, L, L))
-    for t in range(1, T):
-        _step_scores(delta, block, e, t, scores)
-        scores.argmax(axis=1, out=back[:, t])  # first max = lowest label id
-        scores.max(axis=1, out=delta[:, t])
-    final = delta[:, -1] + trans[:L, layer.stop]
+    block_t = np.ascontiguousarray(trans[:L, :L].T)  # [j, i] = trans[i, j]
+    back = np.empty((T, B, L), dtype=np.intp)
+    final = np.empty((B, L))
+    group = max(1, VITERBI_BUFFER_ELEMS // (L * L))
+    buf = np.empty((min(group, B), L, L))
+    for lo in range(0, B, group):
+        part = slice(lo, lo + group)
+        scores = buf[:min(group, B - lo)]
+        delta = trans[layer.start, :L] + e[part, 0]
+        for t in range(1, T):
+            np.add(delta[:, None, :], block_t, out=scores)
+            scores += e[part, t, :, None]
+            scores.argmax(axis=2, out=back[t, part])  # first max = lowest label id
+            scores.max(axis=2, out=delta)
+        final[part] = delta + trans[:L, layer.stop]
     rows = np.arange(B)
     labels = np.empty((B, T), dtype=np.int64)
     labels[:, -1] = final.argmax(axis=1)
     for t in range(T - 1, 0, -1):
-        labels[:, t - 1] = back[rows, t, labels[:, t]]
+        labels[:, t - 1] = back[t, rows, labels[:, t]]
     return PathScore(labels, final[rows, labels[:, -1]])
 
 

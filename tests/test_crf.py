@@ -144,6 +144,21 @@ class TestViterbi:
                 assert ps.labels[b].tolist() == best
                 assert abs(ps.score[b] - (log_z + dist[tuple(best)])) < 1e-9
 
+    def test_row_groups_match_whole_batch(self, monkeypatch):
+        rng = RngState(17)
+        _, layer = random_instance(rng, T=7, L=5)
+        hs = rng.uniform(-2, 2, (5, 7, 4))
+        whole = viterbi_decode(hs, layer)
+        # groups of 2 rows: 2 + 2 + 1
+        monkeypatch.setattr("seqlab.crf.VITERBI_BUFFER_ELEMS", 2 * 5 * 5)
+        grouped = viterbi_decode(hs, layer)
+        assert np.array_equal(grouped.labels, whole.labels)
+        assert np.array_equal(grouped.score, whole.score)
+        for b in range(5):
+            one = viterbi_decode(hs[b : b + 1], layer)
+            assert np.array_equal(one.labels[0], whole.labels[b])
+            assert one.score[0] == whole.score[b]
+
     def test_batch_all_ties(self):
         layer = make_layer(3, 4, zero=True)
         ps = viterbi_decode(np.zeros((5, 6, 3)), layer)
