@@ -113,11 +113,19 @@ def spec_from_config(cfg, use_contextual=False):
     )
 
 
-def _read_corpus(path, task, split, args):
+def _read_corpus(path, task, split, args, labels_optional=False):
+    """Parse a column file. With `labels_optional`, a file whose first token
+    line has no label column is read as unlabelled text."""
     with open(path, encoding="utf-8") as fh:
-        return parse_conll(fh.read(), token_column=args.token_column,
-                           label_column=args.label_column, task_name=task,
-                           split=split, scheme=args.scheme)
+        text = fh.read()
+    label_column = args.label_column
+    if labels_optional:
+        first = next((line.split() for line in text.splitlines()
+                      if line.strip() and not line.strip().startswith("-DOCSTART-")), [])
+        if len(first) <= label_column:
+            label_column = None
+    return parse_conll(text, token_column=args.token_column, label_column=label_column,
+                       task_name=task, split=split, scheme=args.scheme)
 
 
 def _overrides_from_args(args):
@@ -196,13 +204,16 @@ def _load_model(args):
 def cmd_predict(args):
     model = _load_model(args)
     task = model.spec.main_task
-    corpus = _read_corpus(args.input, task, "test", args)
+    corpus = _read_corpus(args.input, task, "test", args, labels_optional=True)
     pred = predict_corpus(model, corpus, task)
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     try:
         for sentence, labels in zip(corpus.sentences, pred):
-            for token, gold, hyp in zip(sentence.tokens, sentence.labels[task], labels):
-                out.write("%s %s %s\n" % (token, gold, hyp))
+            gold = sentence.labels.get(task)  # None for unlabelled text
+            rows = (zip(sentence.tokens, gold, labels) if gold is not None
+                    else zip(sentence.tokens, labels))
+            for row in rows:
+                out.write(" ".join(row) + "\n")
             out.write("\n")
     finally:
         if out is not sys.stdout:

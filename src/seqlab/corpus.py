@@ -72,7 +72,8 @@ def parse_conll(text, token_column=0, label_column=1, task_name="main",
     """Parse whitespace-separated column format into a TaggedCorpus.
 
     Blank lines separate sentences; lines starting with -DOCSTART- are
-    skipped. With scheme="iob1" label sequences are converted to BIO2.
+    skipped. With scheme="iob1" label sequences are converted to BIO2. With
+    `label_column` None the text is unlabelled: sentences carry no labels.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -80,17 +81,20 @@ def parse_conll(text, token_column=0, label_column=1, task_name="main",
     label_set = []
     seen_labels = set()
     tokens, labels = [], []
-    need = max(token_column, label_column) + 1
+    need = max(token_column, label_column or 0) + 1
 
     def flush():
         if not tokens:
             return
-        labs = iob1_to_bio2(labels) if scheme == "iob1" else list(labels)
-        for lab in labs:
-            if lab not in seen_labels:
-                seen_labels.add(lab)
-                label_set.append(lab)
-        sentences.append(Sentence(list(tokens), {task_name: labs}))
+        gold = {}
+        if label_column is not None:
+            labs = iob1_to_bio2(labels) if scheme == "iob1" else list(labels)
+            for lab in labs:
+                if lab not in seen_labels:
+                    seen_labels.add(lab)
+                    label_set.append(lab)
+            gold[task_name] = labs
+        sentences.append(Sentence(list(tokens), gold))
         tokens.clear()
         labels.clear()
 
@@ -107,7 +111,8 @@ def parse_conll(text, token_column=0, label_column=1, task_name="main",
                 "line %d has %d columns, need at least %d" % (lineno, len(cols), need)
             )
         tokens.append(cols[token_column])
-        labels.append(cols[label_column])
+        if label_column is not None:
+            labels.append(cols[label_column])
     flush()
     return TaggedCorpus(task_name, split, sentences, label_set)
 
@@ -210,7 +215,10 @@ def build_vocab(corpora, pretrained_words=None, min_freq=1, lm_vocab_size=5000):
     keep = set(w for w, c in counts.items() if c >= min_freq)
     if pretrained_words:
         keep.update(normalize_word(w) for w in pretrained_words)
-    for word in sorted(keep, key=lambda w: order.get(w, len(order) + len(w))):
+    # corpus words by first appearance, then pretrained-only words by length
+    # and spelling (not in set order, which varies with PYTHONHASHSEED)
+    extra = sorted(sorted(keep.difference(order)), key=len)
+    for word in [w for w in order if w in keep] + extra:
         if word not in vocab.word_to_id:
             vocab.word_to_id[word] = len(vocab.word_to_id)
     ranked = sorted(counts, key=lambda w: (-counts[w], order[w]))

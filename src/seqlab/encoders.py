@@ -36,7 +36,7 @@ class CharCNN:
         self.emb = Parameter(
             glorot_uniform((n_chars, d_char), n_chars, d_char,
                            param_rng(seed, prefix + ".emb")),
-            prefix + ".emb",
+            prefix + ".emb", row_sparse=True,
         )
         self.filters = Parameter(
             glorot_uniform((window, d_char, n_filters), window * d_char, n_filters,
@@ -130,7 +130,10 @@ class WordRepresentation:
         self.contextual_store = contextual_store
         self.dropout = dropout or DropoutSpec()
         self.trainable_embeddings = embedding_matrix.trainable
-        self.word_emb = Parameter(embedding_matrix.matrix.copy(), "repr.word_emb")
+        self.word_emb = Parameter(embedding_matrix.matrix.copy(), "repr.word_emb",
+                                  row_sparse=True)
+        # a frozen table is no gradient target: nothing would clear its rows
+        self.word_emb.requires_grad = self.trainable_embeddings
         self.d_word = embedding_matrix.d_word
 
     @property

@@ -262,13 +262,13 @@ def save_checkpoint(model, directory):
         "vocab": model.vocab.to_dict(),
         "params": [{"name": p.name, "shape": list(p.shape)} for p in params],
     }
-    payload = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-                       for p in params)
-    for name, data in (("manifest.json", json.dumps(manifest, sort_keys=True).encode()),
-                       ("params.bin", payload)):
+    for name, chunks in (("manifest.json", [json.dumps(manifest, sort_keys=True).encode()]),
+                         ("params.bin", (np.ascontiguousarray(p.data, dtype="<f8")
+                                         for p in params))):
         tmp = os.path.join(directory, name + ".tmp")
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, os.path.join(directory, name))
 
 

@@ -58,6 +58,7 @@ class Tensor:
     """Dense float64 array node in the autodiff graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    row_grads = None  # pending (ids, rows) pairs of a row-sparse Parameter
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -82,12 +83,43 @@ class Tensor:
         return self.data.item()
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        if self.row_grads is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.row_grads.clear()
 
     def accumulate(self, grad):
+        if self.row_grads is not None:
+            self.accumulate_rows(np.arange(len(self.data)), grad)
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += grad
+
+    def accumulate_rows(self, ids, rows):
+        """Add `rows[k]` into row `ids[k]` of the gradient, in order of k."""
+        if self.row_grads is not None:
+            self.row_grads.append(_coalesce([(ids, rows)], self.shape))
+            return
+        full = np.zeros_like(self.data)
+        np.add.at(full, ids, rows)
+        self.accumulate(full)
+
+    def grad_rows(self):
+        """A row-sparse gradient as one (unique ids, summed rows) pair."""
+        if len(self.row_grads) != 1:
+            self.row_grads[:] = [_coalesce(self.row_grads, self.shape)]
+        return self.row_grads[0]
+
+    def dense_grad(self):
+        """The gradient as a full array, built on demand for a row-sparse
+        Parameter (for `grad_check` and tests; training never needs it)."""
+        if self.row_grads is None:
+            return self.grad
+        full = np.zeros_like(self.data)
+        ids, rows = self.grad_rows()
+        full[ids] = rows
+        return full
 
     def backward(self):
         if self.data.size != 1:
@@ -148,14 +180,23 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable tensor; gradient buffer always allocated."""
+    """Named trainable tensor.
 
-    __slots__ = ("name",)
+    A dense parameter always holds a gradient buffer in `grad`. A row-sparse
+    one (`row_sparse=True`, an embedding table) never holds a table-sized
+    gradient: each contribution is kept in `row_grads` as (unique row ids,
+    summed rows), `sgd_step` checks, norms and updates those rows only, and
+    `dense_grad()` builds the full array for readers that want one.
+    """
 
-    def __init__(self, data, name):
+    __slots__ = ("name", "row_grads")
+
+    def __init__(self, data, name, row_sparse=False):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.row_grads = [] if row_sparse else None
+        if not row_sparse:
+            self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return "Parameter(%r, shape=%s)" % (self.name, self.shape)
@@ -163,6 +204,21 @@ class Parameter(Tensor):
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _coalesce(pairs, shape):
+    """(ids, rows) pairs -> (sorted unique ids, summed rows).
+
+    Every row is summed from zero in the order the pairs and their rows come,
+    which is the order a dense `np.add.at` scatter of the same pairs adds
+    them in, so both give bit-identical rows.
+    """
+    if not pairs:
+        return np.zeros(0, dtype=np.intp), np.zeros((0,) + shape[1:])
+    ids, inverse = np.unique(np.concatenate([i for i, _ in pairs]), return_inverse=True)
+    rows = np.zeros((ids.size,) + shape[1:])
+    np.add.at(rows, inverse, np.concatenate([r for _, r in pairs]))
+    return ids, rows
 
 
 def make_node(data, parents, backward):
@@ -332,6 +388,11 @@ def _getitem(a, key):
     the input's gradient."""
 
     def backward(g):
+        if a.row_grads is not None:
+            full = np.zeros_like(a.data)
+            full[key] = g
+            a.accumulate(full)
+            return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[key] += g
@@ -340,14 +401,14 @@ def _getitem(a, key):
 
 
 def gather(a, indices):
-    """Row lookup along axis 0 (embedding-table style); scatter-add backward."""
+    """Row lookup along axis 0 (embedding-table style). The backward hands
+    the rows' gradients to `accumulate_rows`: a row-sparse table records
+    them, any other tensor scatter-adds them into a dense gradient."""
     a = _as_tensor(a)
     indices = np.asarray(indices)
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, indices.reshape(-1), g.reshape(-1, *a.shape[1:]))
-        a.accumulate(full)
+        a.accumulate_rows(indices.reshape(-1), g.reshape(-1, *a.shape[1:]))
 
     return make_node(a.data[indices], (a,), backward)
 
@@ -470,7 +531,7 @@ def grad_check(loss_fn, params, eps=1e-5):
         p.zero_grad()
     loss = loss_fn()
     loss.backward()
-    analytic = [p.grad.copy() for p in params]
+    analytic = [p.dense_grad().copy() for p in params]
     max_rel = 0.0
     for p, a_grad in zip(params, analytic):
         flat = p.data.reshape(-1)
@@ -499,23 +560,35 @@ def sgd_step(params, base_lr, decay, epoch, clip_norm=5.0):
     """SGD update with 1/(1 + decay*epoch) learning-rate decay.
 
     Gradients are global-norm clipped to `clip_norm` (None disables), the
-    update is applied, and every gradient buffer is zeroed.
+    update is applied, and every gradient is cleared. A row-sparse parameter
+    is checked, normed and updated on the rows its gradient touched only;
+    its other rows have zero gradient and stay bitwise unchanged.
     """
+    grads = []
     for p in params:
-        if p.grad is None:
-            p.zero_grad()
-        if not np.isfinite(p.grad).all():
+        if p.row_grads is not None:
+            ids, g = p.grad_rows()
+        else:
+            if p.grad is None:
+                p.zero_grad()
+            ids, g = None, p.grad
+        if not np.isfinite(g).all():
             raise NumericError("non-finite gradient in parameter %r" % p.name)
+        grads.append((p, ids, g))
     lr = learning_rate(base_lr, decay, epoch)
     if clip_norm is not None:
-        total = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in params))
+        total = np.sqrt(sum(float((g * g).sum()) for _, _, g in grads))
         if total > clip_norm:
             scale = clip_norm / total
-            for p in params:
-                p.grad *= scale
-    for p in params:
-        p.data -= lr * p.grad
-        p.grad[...] = 0.0
+            for _, _, g in grads:
+                g *= scale
+    for p, ids, g in grads:
+        if ids is None:
+            p.data -= lr * g
+            p.grad[...] = 0.0
+        else:
+            p.data[ids] -= lr * g
+            p.row_grads.clear()
     return lr
 
 

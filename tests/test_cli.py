@@ -163,6 +163,27 @@ class TestTrainEvaluatePredict:
         assert main(["evaluate", "--scored", str(scored)]) == 0
         assert out == capsys.readouterr().out
 
+    def test_predict_unlabelled_text(self, run_dir, data_dir, tmp_path, capsys):
+        source = (data_dir / "dev.conll").read_text().splitlines()
+        bare = tmp_path / "bare.txt"
+        bare.write_text("".join((line.split()[0] if line.strip() else "") + "\n"
+                                for line in source))
+        labelled, unlabelled = tmp_path / "labelled.txt", tmp_path / "unlabelled.txt"
+        for path, out in ((data_dir / "dev.conll", labelled), (bare, unlabelled)):
+            assert main(["predict", "--model", str(run_dir / "best"),
+                         "--input", str(path), "--output", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+        rows = [line.split() for line in unlabelled.read_text().splitlines() if line]
+        full = [line.split() for line in labelled.read_text().splitlines() if line]
+        assert all(len(row) == 2 for row in rows)
+        assert rows == [[token, pred] for token, _, pred in full]
+        # commands that score or train still need the label column
+        for argv in (["stats", "--data", str(bare)],
+                     ["evaluate", "--model", str(run_dir / "best"), "--test", str(bare)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 1 has 1 columns") and err.count("\n") == 1
+
     def test_aux_train_runs(self, data_dir, tmp_path, capsys):
         status = main([
             "train",

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +113,28 @@ class TestBuildVocab:
         c = self.make(["a", "a", "b", "b", "c"])
         v = build_vocab([c], lm_vocab_size=2)
         assert set(v.lm_word_to_id) == set(RESERVED) | {"a", "b"}
+
+    def test_ids_independent_of_hash_seed(self):
+        # pretrained-only words of one length tie on the sort key; their ids
+        # must not follow the set order that string hashing sets
+        script = (
+            "import json\n"
+            "from seqlab.corpus import Sentence, TaggedCorpus, build_vocab\n"
+            "c = TaggedCorpus('t', 'train', [Sentence(['a', 'b'], {'t': ['O', 'O']})], ['O'])\n"
+            "abc = 'abcdefghijklmnopqrstuvwxyz'\n"
+            "words = ['q' + x + y for x in abc for y in abc][::-1]\n"
+            "print(json.dumps(build_vocab([c], pretrained_words=words).word_to_id))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        maps = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            maps.append(json.loads(out))
+        assert maps[0] == maps[1]
+        assert list(maps[0])[4:8] == ["a", "b", "qaa", "qab"]
 
 
 class TestMakeBatches:

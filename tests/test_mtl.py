@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,18 @@ class TestForwardTask:
             for p in model.blstms["main"].parameters():
                 assert np.array_equal(p.grad, np.zeros_like(p.grad))
 
+    def test_frozen_word_table_collects_no_rows(self):
+        model = build_model(spec_for("single", embeddings_trainable=False), VOCAB)
+        table = model.word_repr.word_emb
+        before = table.data.copy()
+        for _ in range(2):
+            model.forward_task(batch_of(), FINE).loss.backward()
+            sgd_step(model.parameters(), 0.01, 0.05, 0)
+        assert table not in model.parameters()
+        assert table.row_grads == []
+        assert np.array_equal(table.data, before)
+        assert model.word_repr.char_cnn.emb.row_grads == []
+
     @pytest.mark.parametrize("topology,lm_mode",
                              [("single", "shared"), ("hierarchical", "unshared")])
     def test_end_to_end_grad_check(self, topology, lm_mode):
@@ -210,6 +224,15 @@ class TestCheckpoint:
         before = model.forward_task(batch, FINE).loss.item()
         after = loaded.forward_task(batch, FINE).loss.item()
         assert before == after
+
+    def test_params_bin_is_little_endian_f8_in_parameter_order(self, tmp_path):
+        model = build_model(spec_for("hierarchical", "shared"), VOCAB)
+        model.forward_task(batch_of(), FINE).loss.backward()
+        sgd_step(model.parameters(), 0.01, 0.05, 0)
+        save_checkpoint(model, tmp_path / "ckpt")
+        expected = b"".join(p.data.astype("<f8").tobytes() for p in model.parameters())
+        assert (tmp_path / "ckpt" / "params.bin").read_bytes() == expected
+        assert sorted(os.listdir(tmp_path / "ckpt")) == ["manifest.json", "params.bin"]
 
     def test_shape_validation(self, tmp_path):
         import json, os

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,109 @@ class TestSgdStep:
         p.grad[:] = 1.0
         sgd_step([p], 0.01, 0.05, 0)
         assert np.array_equal(p.grad, np.zeros(2))
+
+
+class TestRowSparse:
+    """Embedding tables keep (ids, rows) gradients; every row must match the
+    dense scatter-add bit for bit."""
+
+    V, D = 40, 6
+
+    def tables(self, seed=0):
+        data = RngState(seed).uniform(-1, 1, (self.V, self.D))
+        return Parameter(data.copy(), "emb", row_sparse=True), Parameter(data.copy(), "emb")
+
+    def weights(self, shape, seed):
+        return Tensor(RngState(seed).uniform(-1, 1, shape + (self.D,)))
+
+    def test_gather_repeated_ids(self):
+        table, _ = self.tables()
+        ids = np.array([[3, 7, 3], [7, 3, 0]])
+        w = self.weights(ids.shape, 1)
+        nm.tsum(nm.mul(nm.gather(table, ids), w)).backward()
+        ref = np.zeros((self.V, self.D))
+        np.add.at(ref, ids.reshape(-1), w.data.reshape(-1, self.D))
+        assert table.grad is None
+        assert [r[0].tolist() for r in table.row_grads] == [[0, 3, 7]]
+        assert table.dense_grad().tobytes() == ref.tobytes()
+
+    def loss_two_gathers(self, table):
+        ids_a, ids_b = np.array([[1, 5, 1, 9]]), np.array([[5, 1], [1, 2]])
+        a = nm.gather(table, ids_a)
+        b = nm.gather(table, ids_b)
+        return (nm.tsum(nm.mul(a, self.weights(ids_a.shape, 2)))
+                + nm.tsum(nm.mul(nm.mul(b, b), self.weights(ids_b.shape, 3))))
+
+    def loss_mixed(self, table):
+        """gather, gather_nd and a slice of one table."""
+        ids = np.array([4, 8, 4, 4])
+        picked = nm.gather_nd(table, np.array([8, 4, 8]), np.array([0, 5, 0]))
+        sliced = table[3:9]
+        return (nm.tsum(nm.mul(nm.gather(table, ids), self.weights(ids.shape, 4)))
+                + nm.tsum(nm.mul(picked, picked)) + nm.tsum(nm.mul(sliced, sliced)))
+
+    @pytest.mark.parametrize("loss", ["loss_two_gathers", "loss_mixed"])
+    def test_matches_dense_scatter(self, loss):
+        sparse, dense = self.tables()
+        getattr(self, loss)(sparse).backward()
+        getattr(self, loss)(dense).backward()
+        assert sparse.dense_grad().tobytes() == dense.grad.tobytes()
+
+    def step_both(self, clip_norm, lr=0.5):
+        sparse, dense = self.tables()
+        for table in (sparse, dense):
+            self.loss_two_gathers(table).backward()
+        before = sparse.data.copy()
+        touched = np.zeros(self.V, dtype=bool)
+        touched[sparse.grad_rows()[0]] = True
+        norm = np.sqrt((dense.grad * dense.grad).sum())
+        for table in (sparse, dense):
+            sgd_step([table], lr, 0.0, 0, clip_norm=clip_norm)
+        assert sparse.data[~touched].tobytes() == before[~touched].tobytes()
+        assert not np.array_equal(sparse.data[touched], before[touched])
+        return sparse, dense, norm
+
+    def test_sgd_step_unclipped_bit_identical(self):
+        sparse, dense, _ = self.step_both(None)
+        assert sparse.data.tobytes() == dense.data.tobytes()
+
+    def test_sgd_step_clipped_within_rounding(self):
+        sparse, dense, norm = self.step_both(0.1)
+        assert norm > 0.1
+        assert np.allclose(sparse.data, dense.data, rtol=1e-15, atol=0)
+
+    def test_nonfinite_row_names_parameter(self):
+        table, _ = self.tables()
+        w = self.weights((2,), 5)
+        w.data[1, 0] = np.nan
+        nm.tsum(nm.mul(nm.gather(table, np.array([2, 6])), w)).backward()
+        with pytest.raises(NumericError, match="emb"):
+            sgd_step([table], 0.01, 0.0, 0)
+
+    def test_rows_cleared_by_step_and_zero_grad(self):
+        table, _ = self.tables()
+        self.loss_two_gathers(table).backward()
+        assert table.row_grads
+        sgd_step([table], 0.01, 0.0, 0)
+        assert table.row_grads == []
+        self.loss_mixed(table).backward()
+        table.zero_grad()
+        assert table.row_grads == []
+        assert not table.dense_grad().any()
+
+    def test_step_memory_independent_of_table_size(self):
+        table = Parameter(np.zeros((200_000, 50)), "big", row_sparse=True)
+        ids = np.arange(0, 200_000, 997)[:128].reshape(8, 16)
+        w = Tensor(RngState(6).uniform(-1, 1, ids.shape + (50,)))
+        tracemalloc.start()
+        try:
+            nm.tsum(nm.mul(nm.gather(table, ids), w)).backward()
+            sgd_step([table], 0.1, 0.0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.data.nbytes / 10
+        assert np.count_nonzero(table.data.any(axis=1)) == ids.size
 
 
 class TestRngState:
