@@ -117,17 +117,6 @@ def parse_conll(text, token_column=0, label_column=1, task_name="main",
     return TaggedCorpus(task_name, split, sentences, label_set)
 
 
-def to_conll(corpus):
-    """Serialize back to two-column format (token, label)."""
-    lines = []
-    for sent in corpus.sentences:
-        labs = sent.labels.get(corpus.task_name, ["O"] * len(sent))
-        for tok, lab in zip(sent.tokens, labs):
-            lines.append("%s %s" % (tok, lab))
-        lines.append("")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 class Vocabulary:
     """Word/char/label id maps with reserved PAD, UNK, START, END tokens."""
 
@@ -359,28 +348,3 @@ def render_stats(stats):
         lines.append("    %-20s count %6d  mean length %6.2f"
                      % (typ, stats.per_type_count[typ], mean_len))
     return "\n".join(lines)
-
-
-def stats_records(stats):
-    """Structured key-value records: one per split plus one per entity type."""
-    records = [{
-        "record": "split",
-        "task": stats.task_name,
-        "split": stats.split,
-        "sentences": stats.n_sentences,
-        "distinct_words": stats.n_words,
-        "labels": stats.n_labels,
-        "entities": stats.n_entities,
-        "mean_entity_length": stats.mean_entity_length,
-        "has_entities": stats.has_entities,
-    }]
-    for typ, mean_len in stats.per_type_mean_length.items():
-        records.append({
-            "record": "entity_type",
-            "task": stats.task_name,
-            "split": stats.split,
-            "type": typ,
-            "count": stats.per_type_count[typ],
-            "mean_entity_length": mean_len,
-        })
-    return records

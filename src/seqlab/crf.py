@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 
 from . import numeric as nm
-from .numeric import Parameter, Tensor, glorot_uniform, param_rng
+from .numeric import Tensor, glorot_parameter, init_parameter
 
 MASK = -1e4  # stand-in for -inf that keeps gradients defined
 BRUTE_FORCE_GUARD = 10 ** 6
@@ -29,21 +29,17 @@ class CRFLayer:
     """Emission projection plus label-transition matrix with virtual
     START/STOP states at indices L and L+1."""
 
-    def __init__(self, d_in, n_labels, seed, prefix):
+    def __init__(self, d_in, n_labels, seed, prefix, saved=None):
         self.d_in = d_in
         self.n_labels = n_labels
-        self.proj_w = Parameter(
-            glorot_uniform((d_in, n_labels), d_in, n_labels,
-                           param_rng(seed, prefix + ".proj_w")),
-            prefix + ".proj_w",
-        )
-        self.proj_b = Parameter(np.zeros(n_labels), prefix + ".proj_b")
+        self.proj_w = glorot_parameter(prefix + ".proj_w", (d_in, n_labels), seed, saved)
+        self.proj_b = init_parameter(prefix + ".proj_b", (n_labels,), np.zeros, saved)
         L = n_labels
-        trans = glorot_uniform((L + 2, L + 2), L + 2, L + 2,
-                               param_rng(seed, prefix + ".transitions"))
-        trans[:, L] = MASK      # nothing enters START
-        trans[L + 1, :] = MASK  # nothing leaves STOP
-        self.transitions = Parameter(trans, prefix + ".transitions")
+        self.transitions = glorot_parameter(prefix + ".transitions", (L + 2, L + 2), seed,
+                                            saved)
+        # no gradient ever reaches these entries, so a loaded array has them too
+        self.transitions.data[:, L] = MASK      # nothing enters START
+        self.transitions.data[L + 1, :] = MASK  # nothing leaves STOP
 
     @property
     def start(self):
@@ -176,14 +172,6 @@ def crf_nll_batch(h, gold, layer):
     return nm.mul(nm.tsum(nll), 1.0 / h.shape[0])
 
 
-def crf_nll(h, gold, layer):
-    """Negative log-likelihood of one sentence; h is (T, 2H)."""
-    if len(gold) != h.shape[0]:
-        raise CrfError("gold length %d != sequence length %d" % (len(gold), h.shape[0]))
-    h3 = h.reshape(1, *h.shape) if isinstance(h, Tensor) else Tensor(np.asarray(h)[None])
-    return crf_nll_batch(h3, np.asarray(gold)[None], layer)
-
-
 def softmax_nll_batch(h, gold, layer):
     """Per-step softmax ablation: transitions ignored."""
     emissions = layer.emissions(h)
@@ -210,9 +198,12 @@ def viterbi_decode(h, layer):
     Each step's scores are laid out (rows, L_to, L_from), the transpose of
     `_step_scores`, so that max and argmax reduce over the contiguous last
     axis (numpy's argmax over any other axis copies the whole block into a
-    freshly allocated array). The batch is decoded in groups of rows whose
-    step buffer fits VITERBI_BUFFER_ELEMS, so the four passes of each step
-    stay in a core's own cache whatever B is.
+    freshly allocated array). Each step makes three passes over the buffer:
+    two adds and the argmax. `delta` is gathered from the argmax, not taken
+    by a fourth `max` pass; that is the same value, as the max is the
+    element at the first argmax. The batch is decoded in groups of rows
+    whose step buffer fits VITERBI_BUFFER_ELEMS, so those passes stay in a
+    core's own cache whatever B is.
     """
     e = emission_scores(h, layer)
     if e.ndim != 3:
@@ -224,15 +215,19 @@ def viterbi_decode(h, layer):
     final = np.empty((B, L))
     group = max(1, VITERBI_BUFFER_ELEMS // (L * L))
     buf = np.empty((min(group, B), L, L))
+    flat = buf.reshape(-1)
+    # flat index of element (r, j, 0) of the buffer; + back[t, r, j] is the max
+    offsets = np.arange(buf.shape[0] * L).reshape(-1, L) * L
     for lo in range(0, B, group):
         part = slice(lo, lo + group)
-        scores = buf[:min(group, B - lo)]
+        n = min(group, B - lo)
+        scores = buf[:n]
         delta = trans[layer.start, :L] + e[part, 0]
         for t in range(1, T):
             np.add(delta[:, None, :], block_t, out=scores)
             scores += e[part, t, :, None]
             scores.argmax(axis=2, out=back[t, part])  # first max = lowest label id
-            scores.max(axis=2, out=delta)
+            delta = flat[offsets[:n] + back[t, part]]
         final[part] = delta + trans[:L, layer.stop]
     rows = np.arange(B)
     labels = np.empty((B, T), dtype=np.int64)

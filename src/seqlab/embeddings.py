@@ -7,7 +7,7 @@ import struct
 import numpy as np
 
 from . import numeric as nm
-from .numeric import Parameter, RngState, Tensor
+from .numeric import RngState, Tensor
 
 UNIT_SEP = "\x1f"
 
@@ -84,13 +84,15 @@ class ElmoWeights:
     """Trainable softmax-normalized layer weights and scale for mixing
     contextual-vector layers."""
 
-    def __init__(self, n_layers, raw_weights=None, gamma=1.0, prefix="repr.elmo"):
+    def __init__(self, n_layers, raw_weights=None, gamma=1.0, prefix="repr.elmo",
+                 saved=None):
         raw = np.zeros(n_layers) if raw_weights is None else np.asarray(raw_weights, float)
         if raw.shape != (n_layers,):
             raise EmbeddingError("need %d raw weights, got %s" % (n_layers, raw.shape))
         self.n_layers = n_layers
-        self.raw = Parameter(raw, prefix + ".raw")
-        self.gamma = Parameter(np.array(float(gamma)), prefix + ".gamma")
+        self.raw = nm.init_parameter(prefix + ".raw", raw.shape, lambda _: raw, saved)
+        self.gamma = nm.init_parameter(prefix + ".gamma", (), lambda _: np.array(float(gamma)),
+                                       saved)
 
     @classmethod
     def frozen_top_layer(cls, n_layers=2, prefix="repr.elmo"):
@@ -230,16 +232,3 @@ def _load_jsonl(fh):
             raise EmbeddingError("malformed record %d: %s" % (index, e)) from None
         store.add(key, values, token_count=rec["token_count"])
     return store
-
-
-def save_contextual_jsonl(store, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, values in store._records.items():
-            L, T, d = values.shape
-            fh.write(json.dumps({
-                "key": key,
-                "token_count": T,
-                "layer_count": L,
-                "dim": d,
-                "values": values.reshape(-1).tolist(),
-            }) + "\n")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric as nm
-from .numeric import Parameter, Tensor, glorot_uniform, param_rng
+from .numeric import Tensor, glorot_parameter, init_parameter
 
 
 class EncoderError(ValueError):
@@ -27,23 +27,18 @@ class DropoutSpec:
 class CharCNN:
     """Character convolution with tanh and max-pooling over time."""
 
-    def __init__(self, n_chars, d_char, window, n_filters, seed, prefix="repr.char_cnn"):
+    def __init__(self, n_chars, d_char, window, n_filters, seed, prefix="repr.char_cnn",
+                 saved=None):
         if window % 2 != 1:
             raise EncoderError("window size must be odd")
         self.d_char = d_char
         self.window = window
         self.n_filters = n_filters
-        self.emb = Parameter(
-            glorot_uniform((n_chars, d_char), n_chars, d_char,
-                           param_rng(seed, prefix + ".emb")),
-            prefix + ".emb", row_sparse=True,
-        )
-        self.filters = Parameter(
-            glorot_uniform((window, d_char, n_filters), window * d_char, n_filters,
-                           param_rng(seed, prefix + ".filters")),
-            prefix + ".filters",
-        )
-        self.bias = Parameter(np.zeros(n_filters), prefix + ".bias")
+        self.emb = glorot_parameter(prefix + ".emb", (n_chars, d_char), seed, saved,
+                                    row_sparse=True)
+        self.filters = glorot_parameter(prefix + ".filters", (window, d_char, n_filters),
+                                        seed, saved)
+        self.bias = init_parameter(prefix + ".bias", (n_filters,), np.zeros, saved)
 
     def parameters(self):
         return [self.emb, self.filters, self.bias]
@@ -80,26 +75,23 @@ class CharCNN:
 class BLSTM:
     """Single-layer bi-directional LSTM; output is [forward; backward]."""
 
-    def __init__(self, d_in, hidden, seed, prefix):
+    def __init__(self, d_in, hidden, seed, prefix, saved=None):
         self.d_in = d_in
         self.hidden = hidden
         self.prefix = prefix
         self._dirs = {}
+
+        def forget_bias(shape):
+            b = np.zeros(shape)
+            b[hidden : 2 * hidden] = 1.0
+            return b
+
         for direction in ("fwd", "bwd"):
             name = "%s.%s" % (prefix, direction)
-            wx = Parameter(
-                glorot_uniform((d_in, 4 * hidden), d_in, 4 * hidden,
-                               param_rng(seed, name + ".W_x")),
-                name + ".W_x",
-            )
-            wh = Parameter(
-                glorot_uniform((hidden, 4 * hidden), hidden, 4 * hidden,
-                               param_rng(seed, name + ".W_h")),
-                name + ".W_h",
-            )
-            b = np.zeros(4 * hidden)
-            b[hidden : 2 * hidden] = 1.0  # forget-gate bias
-            self._dirs[direction] = (wx, wh, Parameter(b, name + ".b"))
+            self._dirs[direction] = (
+                glorot_parameter(name + ".W_x", (d_in, 4 * hidden), seed, saved),
+                glorot_parameter(name + ".W_h", (hidden, 4 * hidden), seed, saved),
+                init_parameter(name + ".b", (4 * hidden,), forget_bias, saved))
 
     def parameters(self):
         return [p for triple in self._dirs.values() for p in triple]
@@ -122,7 +114,7 @@ class WordRepresentation:
     contextual vector per token."""
 
     def __init__(self, vocab, embedding_matrix, char_cnn, elmo_weights=None,
-                 contextual_store=None, dropout=None, elmo_trainable=True):
+                 contextual_store=None, dropout=None, elmo_trainable=True, saved=None):
         self.vocab = vocab
         self.char_cnn = char_cnn
         self.elmo_weights = elmo_weights
@@ -130,8 +122,10 @@ class WordRepresentation:
         self.contextual_store = contextual_store
         self.dropout = dropout or DropoutSpec()
         self.trainable_embeddings = embedding_matrix.trainable
-        self.word_emb = Parameter(embedding_matrix.matrix.copy(), "repr.word_emb",
-                                  row_sparse=True)
+        self.word_emb = init_parameter("repr.word_emb",
+                                       (vocab.n_words, embedding_matrix.d_word),
+                                       lambda _: embedding_matrix.matrix.copy(), saved,
+                                       row_sparse=True)
         # a frozen table is no gradient target: nothing would clear its rows
         self.word_emb.requires_grad = self.trainable_embeddings
         self.d_word = embedding_matrix.d_word

@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import numeric as nm
-from .numeric import Parameter, glorot_uniform, param_rng
+from .numeric import glorot_parameter, init_parameter
 
 LM_START_ID = 2
 LM_END_ID = 3
@@ -20,29 +20,17 @@ class LMHead:
     the backward-direction head predicts w_{t-1} from the backward state.
     """
 
-    def __init__(self, hidden, n_lm_words, seed, prefix):
+    def __init__(self, hidden, n_lm_words, seed, prefix, saved=None):
         self.hidden = hidden
         self.n_lm_words = n_lm_words
-        self.fwd_w = Parameter(
-            glorot_uniform((hidden, n_lm_words), hidden, n_lm_words,
-                           param_rng(seed, prefix + ".fwd_w")),
-            prefix + ".fwd_w",
-        )
-        self.fwd_b = Parameter(np.zeros(n_lm_words), prefix + ".fwd_b")
-        self.bwd_w = Parameter(
-            glorot_uniform((hidden, n_lm_words), hidden, n_lm_words,
-                           param_rng(seed, prefix + ".bwd_w")),
-            prefix + ".bwd_w",
-        )
-        self.bwd_b = Parameter(np.zeros(n_lm_words), prefix + ".bwd_b")
+        shape = (hidden, n_lm_words)
+        self.fwd_w = glorot_parameter(prefix + ".fwd_w", shape, seed, saved)
+        self.fwd_b = init_parameter(prefix + ".fwd_b", (n_lm_words,), np.zeros, saved)
+        self.bwd_w = glorot_parameter(prefix + ".bwd_w", shape, seed, saved)
+        self.bwd_b = init_parameter(prefix + ".bwd_b", (n_lm_words,), np.zeros, saved)
 
     def parameters(self):
         return [self.fwd_w, self.fwd_b, self.bwd_w, self.bwd_b]
-
-    @staticmethod
-    def pair_parameter_count(hidden, n_lm_words):
-        """Scalar parameters in one head pair: 2 * (H*|V| + |V|)."""
-        return 2 * (hidden * n_lm_words + n_lm_words)
 
 
 def _direction_loss(states, w, b, targets):

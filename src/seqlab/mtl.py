@@ -3,14 +3,15 @@
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import numeric as nm
 from .crf import (CRFLayer, crf_nll_batch, emission_scores, softmax_nll_batch,
                   viterbi_decode)
-from .embeddings import ElmoWeights, random_embeddings
+from .embeddings import ElmoWeights, EmbeddingMatrix, random_embeddings
 from .encoders import BLSTM, CharCNN, DropoutSpec, WordRepresentation
 from .lm import LMHead, joint_loss, lm_losses
 from .numeric import Tensor
@@ -114,9 +115,6 @@ class Model:
             params.extend(self.lm_heads[key].parameters())
         return params
 
-    def parameter_count(self):
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self):
         for p in self.parameters():
             p.zero_grad()
@@ -182,8 +180,10 @@ class Model:
 
     def decode(self, batch, task):
         """(B, T) label ids: the Viterbi path of every sentence in the batch,
-        or the per-token argmax under the per-step softmax ablation."""
-        states = self.forward_task(batch, task, mode="eval", with_loss=False).states
+        or the per-token argmax under the per-step softmax ablation. The
+        forward pass runs under `no_grad`: it builds no tape."""
+        with nm.no_grad():
+            states = self.forward_task(batch, task, mode="eval", with_loss=False).states
         head = self.crf_heads[task]
         if self.spec.crf_enabled:
             return viterbi_decode(states, head).labels
@@ -194,12 +194,13 @@ class Model:
         return [[names[i] for i in seq] for seq in self.decode(batch, task).tolist()]
 
 
-def build_model(spec, vocab, embedding_matrix=None, contextual_store=None):
+def build_model(spec, vocab, embedding_matrix=None, contextual_store=None, saved=None):
     """Construct the full parameter set for a ModelSpec.
 
     Parameter initialization is keyed on (seed, parameter name), so a
     parameter's initial value does not depend on which other parameters
-    exist in the model.
+    exist in the model. A parameter that `saved` (a checkpoint's arrays by
+    name) holds takes that array instead, and nothing is drawn for it.
     """
     spec.validate()
     for task in spec.tasks:
@@ -207,39 +208,42 @@ def build_model(spec, vocab, embedding_matrix=None, contextual_store=None):
             raise SpecError("vocabulary has no label set for task %r" % task)
     if spec.use_contextual and contextual_store is None:
         raise SpecError("use_contextual requires a contextual vector store")
+    saved = saved or {}
     if embedding_matrix is None:
-        embedding_matrix = random_embeddings(vocab, spec.d_word, spec.seed)
+        embedding_matrix = (EmbeddingMatrix(saved["repr.word_emb"]) if "repr.word_emb" in saved
+                            else random_embeddings(vocab, spec.d_word, spec.seed))
     embedding_matrix.trainable = spec.embeddings_trainable
     char_cnn = CharCNN(vocab.n_chars, spec.d_char, spec.char_window,
-                       spec.char_filters, spec.seed)
+                       spec.char_filters, spec.seed, saved=saved)
     elmo = None
     if spec.use_contextual:
         elmo = (ElmoWeights.frozen_top_layer(spec.ctx_layers) if spec.elmo_frozen
-                else ElmoWeights(spec.ctx_layers))
+                else ElmoWeights(spec.ctx_layers, saved=saved))
     dropout = DropoutSpec(spec.input_dropout, spec.blstm_dropout)
     word_repr = WordRepresentation(vocab, embedding_matrix, char_cnn,
                                    elmo_weights=elmo,
                                    contextual_store=contextual_store,
                                    dropout=dropout,
-                                   elmo_trainable=not spec.elmo_frozen)
+                                   elmo_trainable=not spec.elmo_frozen, saved=saved)
     d_repr = word_repr.d_repr
     blstms = {}
     for level in spec.levels:
         d_in = d_repr + 2 * spec.hidden if (
             spec.topology == "hierarchical" and level == "main") else d_repr
-        blstms[level] = BLSTM(d_in, spec.hidden, spec.seed, "%s.blstm" % level)
+        blstms[level] = BLSTM(d_in, spec.hidden, spec.seed, "%s.blstm" % level, saved)
     crf_heads = {
         task: CRFLayer(2 * spec.hidden, len(vocab.labels_for(task)), spec.seed,
-                       "%s.crf" % ("main" if task == spec.main_task else "aux"))
+                       "%s.crf" % ("main" if task == spec.main_task else "aux"), saved)
         for task in spec.tasks
     }
     lm_heads = {}
     if spec.lm_mode == "shared":
-        lm_heads["shared"] = LMHead(spec.hidden, vocab.n_lm_words, spec.seed, "lm.shared")
+        lm_heads["shared"] = LMHead(spec.hidden, vocab.n_lm_words, spec.seed, "lm.shared",
+                                    saved)
     elif spec.lm_mode == "unshared":
         for level in spec.levels:
             lm_heads[level] = LMHead(spec.hidden, vocab.n_lm_words, spec.seed,
-                                     "lm.%s" % level)
+                                     "lm.%s" % level, saved)
     return Model(spec, vocab, word_repr, blstms, crf_heads, lm_heads)
 
 
@@ -272,35 +276,67 @@ def save_checkpoint(model, directory):
         os.replace(tmp, os.path.join(directory, name))
 
 
+def _is_param_record(rec):
+    return (isinstance(rec, dict) and isinstance(rec.get("name"), str)
+            and isinstance(rec.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in rec["shape"]))
+
+
 def load_checkpoint(directory, contextual_store=None):
-    """Rebuild a Model from a checkpoint; every name and shape is validated."""
+    """Rebuild a Model from a checkpoint.
+
+    The manifest's structure, the vocabulary hash, the size of params.bin and
+    every parameter's name and shape are checked; a fault is a SpecError.
+    params.bin is read straight into the parameters' arrays before the model
+    is built, so nothing is drawn for a parameter the checkpoint holds.
+    """
     from .corpus import Vocabulary
 
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "seqlab-checkpoint-v1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "seqlab-checkpoint-v1":
         raise SpecError("unrecognized checkpoint format")
-    vocab = Vocabulary.from_dict(manifest["vocab"])
+    missing = [k for k in ("spec", "vocab", "vocab_sha256", "params") if k not in manifest]
+    if missing:
+        raise SpecError("checkpoint manifest has no %s" % ", ".join(missing))
+    spec_fields, recorded = manifest["spec"], manifest["params"]
+    if not isinstance(spec_fields, dict):
+        raise SpecError("checkpoint spec is not a JSON object")
+    unknown = sorted(set(spec_fields) - {f.name for f in fields(ModelSpec)})
+    if unknown:
+        raise SpecError("checkpoint spec has unknown keys %s" % ", ".join(unknown))
+    if not isinstance(recorded, list) or not all(map(_is_param_record, recorded)):
+        raise SpecError("checkpoint params must be a list of {name, shape} records")
+    try:
+        vocab = Vocabulary.from_dict(manifest["vocab"])
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise SpecError("malformed vocabulary in checkpoint: %r" % e) from None
     if vocab_hash(vocab) != manifest["vocab_sha256"]:
         raise SpecError("vocabulary hash mismatch in checkpoint")
-    spec = ModelSpec(**manifest["spec"])
-    model = build_model(spec, vocab, contextual_store=contextual_store)
+    spec = ModelSpec(**spec_fields)
+    arrays = {}
+    with open(os.path.join(directory, "params.bin"), "rb") as fh:
+        expected = 8 * sum(int(np.prod(rec["shape"])) for rec in recorded)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            raise SpecError("checkpoint payload size mismatch: the manifest's shapes "
+                            "need %d bytes, params.bin has %d" % (expected, actual))
+        for rec in recorded:
+            data = arrays[rec["name"]] = np.empty(rec["shape"])
+            if fh.readinto(data) != data.nbytes:
+                raise SpecError("params.bin changed while it was read")
+            if sys.byteorder == "big":  # the file is little-endian
+                data.byteswap(inplace=True)
+    try:
+        model = build_model(spec, vocab, contextual_store=contextual_store, saved=arrays)
+    except nm.NumericError as e:
+        raise SpecError("checkpoint parameter mismatch: %s" % e) from None
     params = model.parameters()
-    recorded = manifest["params"]
     if len(recorded) != len(params):
         raise SpecError("checkpoint has %d parameters, model has %d"
                         % (len(recorded), len(params)))
-    with open(os.path.join(directory, "params.bin"), "rb") as fh:
-        payload = fh.read()
-    offset = 0
     for p, rec in zip(params, recorded):
-        if p.name != rec["name"] or list(p.shape) != rec["shape"]:
-            raise SpecError("checkpoint parameter mismatch: %r %s vs %r %s"
-                            % (rec["name"], rec["shape"], p.name, list(p.shape)))
-        n = p.size * 8
-        p.data[...] = np.frombuffer(payload[offset : offset + n],
-                                    dtype="<f8").reshape(p.shape)
-        offset += n
-    if offset != len(payload):
-        raise SpecError("checkpoint payload size mismatch")
+        if p.name != rec["name"]:
+            raise SpecError("checkpoint parameter mismatch: %r where the model has %r"
+                            % (rec["name"], p.name))
     return model

@@ -5,6 +5,7 @@ backward closures, micrograd-style but over numpy arrays), a finite-difference
 gradient checker, and the SGD update rule used by the trainers.
 """
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -13,9 +14,9 @@ __all__ = [
     "Tensor",
     "Parameter",
     "make_node",
+    "no_grad",
     "RngState",
     "NumericError",
-    "log_sum_exp",
     "grad_check",
     "sgd_step",
     "add",
@@ -36,6 +37,8 @@ __all__ = [
     "gather_nd",
     "dropout",
     "glorot_uniform",
+    "glorot_parameter",
+    "init_parameter",
     "param_rng",
 ]
 
@@ -221,11 +224,28 @@ def _coalesce(pairs, shape):
     return ids, rows
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block: every op returns a plain leaf and
+    `lstm_direction` keeps no gate cache. Values are bitwise those of the
+    same ops with the tape on. Nests; the previous mode comes back on exit,
+    also when the block raises. The mode is process-wide, not per thread."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def make_node(data, parents, backward):
-    """Tensor holding `data`; when a parent needs gradients it joins the tape,
-    and `backward(grad)` adds its parents' gradients."""
+    """Tensor holding `data`; when a parent needs gradients (and `no_grad` is
+    off) it joins the tape, and `backward(grad)` adds its parents' gradients."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -433,10 +453,10 @@ def lstm_direction(x, wx, wh, b, reverse=False):
     input, forget, cell, output; the state starts at zero, and `reverse`
     runs the recurrence from the last timestep to the first. Returns the
     (B, T, H) hidden states. The forward caches every step's gate
-    activations; the backward is hand-written BPTT that performs the same
-    floating-point operations in the same order as the per-step graph of
-    `add`/`matmul`/`sigmoid`/`tanh`/`mul` nodes it replaces, so both give
-    bit-identical gradients.
+    activations (none under `no_grad`); the backward is hand-written BPTT
+    that performs the same floating-point operations in the same order as
+    the per-step graph of `add`/`matmul`/`sigmoid`/`tanh`/`mul` nodes it
+    replaces, so both give bit-identical gradients.
     """
     x, wx, wh, b = (_as_tensor(t) for t in (x, wx, wh, b))
     B, T, d = x.shape
@@ -447,7 +467,7 @@ def lstm_direction(x, wx, wh, b, reverse=False):
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     out = np.empty((B, T, H))
-    cache = []
+    cache = [] if _grad_enabled else None
     for t in steps:
         gates = xw[:, t, :] + h @ wh.data
         act = 1.0 / (1.0 + np.exp(-gates))
@@ -458,7 +478,8 @@ def lstm_direction(x, wx, wh, b, reverse=False):
         tc = np.tanh(c)
         h = o * tc
         out[:, t, :] = h
-        cache.append((t, h_prev, c_prev, i, f, g, o, tc))
+        if cache is not None:
+            cache.append((t, h_prev, c_prev, i, f, g, o, tc))
 
     def backward(grad):
         dxw = np.empty((B, T, 4 * H))
@@ -499,25 +520,13 @@ def dropout(a, rate, rng):
 # -- stand-alone numerics ---------------------------------------------------
 
 
-def log_sum_exp(values):
-    """log(sum(exp(v_i))) with the max-shift trick; exact for finite input."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise NumericError("log_sum_exp of empty input")
-    if np.isnan(v).any():
-        raise NumericError("log_sum_exp of NaN input")
-    m = v.max()
-    if np.isinf(m):
-        return float(m)
-    return float(np.log(np.exp(v - m).sum()) + m)
-
-
 def grad_check(loss_fn, params, eps=1e-5):
     """Compare analytic gradients of `loss_fn` against central differences.
 
     Returns the maximum relative error max(|a-n| / max(|a|, |n|, 1e-8)) over
     every scalar entry of every parameter. `loss_fn` takes no arguments,
-    reads the current parameter values, and returns a scalar Tensor.
+    reads the current parameter values, and returns a scalar Tensor. The
+    perturbed passes only read the loss, so they run under `no_grad`.
     """
     if eps <= 0:
         raise NumericError("eps must be positive")
@@ -538,10 +547,11 @@ def grad_check(loss_fn, params, eps=1e-5):
         a_flat = a_grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(loss_fn().data)
-            flat[i] = orig - eps
-            f_minus = float(loss_fn().data)
+            with no_grad():
+                flat[i] = orig + eps
+                f_plus = float(loss_fn().data)
+                flat[i] = orig - eps
+                f_minus = float(loss_fn().data)
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             rel = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
@@ -637,3 +647,26 @@ def param_rng(seed, name):
 def glorot_uniform(shape, fan_in, fan_out, rng):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, shape)
+
+
+def init_parameter(name, shape, make, saved=None, row_sparse=False):
+    """Parameter `name` of `shape`, holding `make(shape)` or, when `saved`
+    (a checkpoint's arrays by name) has it, that array as is: a loaded model
+    draws no value it would then overwrite."""
+    data = saved.get(name) if saved else None
+    if data is None:
+        data = make(shape)
+    elif data.shape != tuple(shape):
+        raise NumericError("parameter %r: saved shape %s, the model needs %s"
+                           % (name, list(data.shape), list(shape)))
+    return Parameter(data, name, row_sparse)
+
+
+def glorot_parameter(name, shape, seed, saved=None, row_sparse=False):
+    """`init_parameter` drawing glorot-uniform from `param_rng(seed, name)`;
+    fan-in is the product of all axes but the last, fan-out the last."""
+    def draw(shape):
+        return glorot_uniform(shape, int(np.prod(shape[:-1])), shape[-1],
+                              param_rng(seed, name))
+
+    return init_parameter(name, shape, draw, saved, row_sparse)

@@ -1,5 +1,8 @@
 """Synthetic two-task corpora: word identity determines the fine label, and
-the coarse auxiliary label collapses every fine type to ENT."""
+the coarse auxiliary label collapses every fine type to ENT. Also fixture
+writers and counters that only the tests use."""
+
+import json
 
 from seqlab.corpus import Sentence, TaggedCorpus, build_vocab
 from seqlab.numeric import RngState
@@ -60,3 +63,37 @@ def make_vocab(*corpora, lm_vocab_size=50):
 def tiny_spec_kwargs():
     return dict(hidden=6, d_word=6, d_char=3, char_window=3, char_filters=4,
                 input_dropout=0.33, blstm_dropout=0.5, lam=0.05)
+
+
+def to_conll(corpus):
+    """Serialize a corpus to two-column text (token, label) for fixtures."""
+    lines = []
+    for sent in corpus.sentences:
+        labs = sent.labels.get(corpus.task_name, ["O"] * len(sent))
+        for tok, lab in zip(sent.tokens, labs):
+            lines.append("%s %s" % (tok, lab))
+        lines.append("")
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def parameter_count(model):
+    return sum(p.size for p in model.parameters())
+
+
+def lm_pair_parameter_count(hidden, n_lm_words):
+    """Scalar parameters in one LM head pair: 2 * (H*|V| + |V|)."""
+    return 2 * (hidden * n_lm_words + n_lm_words)
+
+
+def save_contextual_jsonl(store, path):
+    """Write a contextual store in the JSON-lines format `load_contextual_store` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, values in store._records.items():
+            L, T, d = values.shape
+            fh.write(json.dumps({
+                "key": key,
+                "token_count": T,
+                "layer_count": L,
+                "dim": d,
+                "values": values.reshape(-1).tolist(),
+            }) + "\n")

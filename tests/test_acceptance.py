@@ -13,12 +13,12 @@ import pytest
 from seqlab.corpus import encode_batch
 from seqlab.embeddings import ElmoWeights, elmo_combine
 from seqlab.evaluation import f1_score
-from seqlab.lm import LMHead
 from seqlab.mtl import ModelSpec, build_model
 from seqlab.numeric import RngState
 from seqlab.selftest import FIXTURES, crf_exactness_suite, gradcheck_suite, run_fixture
 from seqlab.trainer import TrainConfig, sample_task, train
-from synthetic_data import COARSE, FINE, make_corpus, make_vocab, tiny_spec_kwargs
+from synthetic_data import (COARSE, FINE, lm_pair_parameter_count, make_corpus, make_vocab,
+                            parameter_count, tiny_spec_kwargs)
 
 
 @contextlib.contextmanager
@@ -82,11 +82,10 @@ def test_topology_invariants():
 
     with criterion("unshared-vs-shared LM parameter delta = one head pair"):
         spec = small_spec("hierarchical", "shared")
-        shared = build_model(spec, vocab).parameter_count()
-        unshared = build_model(small_spec("hierarchical", "unshared"),
-                               vocab).parameter_count()
-        assert unshared - shared == LMHead.pair_parameter_count(
-            spec.hidden, vocab.n_lm_words)
+        shared = parameter_count(build_model(spec, vocab))
+        unshared = parameter_count(build_model(small_spec("hierarchical", "unshared"),
+                                               vocab))
+        assert unshared - shared == lm_pair_parameter_count(spec.hidden, vocab.n_lm_words)
 
 
 def test_lambda_zero_trace_identity(tmp_path):

@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 
 import pytest
 
@@ -9,8 +11,7 @@ from seqlab.cli import (
     render_config,
     resolve_config,
 )
-from seqlab.corpus import to_conll
-from synthetic_data import COARSE, make_corpus
+from synthetic_data import COARSE, make_corpus, to_conll
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,56 @@ class TestTrainEvaluatePredict:
         ]) == 0
         assert (target / "history.jsonl").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def _as_list(manifest):
+    return [manifest]
+
+
+def _without(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+    return edit
+
+
+def _unknown_spec_key(manifest):
+    manifest["spec"]["beam_width"] = 4
+    return manifest
+
+
+class TestCorruptCheckpoint:
+    """`evaluate --model` on a damaged checkpoint prints one `error:` line."""
+
+    @pytest.fixture
+    def model(self, run_dir, tmp_path):
+        shutil.copytree(run_dir / "best", tmp_path / "model")
+        return tmp_path / "model"
+
+    def evaluate(self, model, data_dir, capsys):
+        status = main(["evaluate", "--model", str(model),
+                       "--test", str(data_dir / "dev.conll")])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("edit, message", [
+        (_as_list, "unrecognized checkpoint format"),
+        (_without("vocab"), "manifest has no vocab"),
+        (_without("params"), "manifest has no params"),
+        (_unknown_spec_key, "unknown keys beam_width"),
+    ], ids=["list", "no_vocab", "no_params", "unknown_spec_key"])
+    def test_malformed_manifest(self, model, data_dir, capsys, edit, message):
+        path = model / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert message in self.evaluate(model, data_dir, capsys)
+
+    def test_truncated_payload(self, model, data_dir, capsys):
+        payload = (model / "params.bin").read_bytes()
+        (model / "params.bin").write_bytes(payload[:-12])
+        err = self.evaluate(model, data_dir, capsys)
+        assert "need %d bytes, params.bin has %d" % (len(payload), len(payload) - 12) in err
 
 
 class TestSelfVerification:

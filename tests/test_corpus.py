@@ -18,10 +18,9 @@ from seqlab.corpus import (
     make_batches,
     parse_conll,
     render_stats,
-    stats_records,
-    to_conll,
 )
 from seqlab.numeric import RngState
+from synthetic_data import to_conll
 
 
 def small_corpus(lengths, task="ner"):
@@ -202,9 +201,3 @@ class TestCorpusStats:
         c = parse_conll("New B-LOC\nYork I-LOC\n\n")
         s = corpus_stats(c)
         assert "sentences" in render_stats(s)
-        recs = stats_records(s)
-        assert recs[0]["record"] == "split"
-        assert recs[1] == {
-            "record": "entity_type", "task": "main", "split": "train",
-            "type": "LOC", "count": 1, "mean_entity_length": 2.0,
-        }

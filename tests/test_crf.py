@@ -8,7 +8,6 @@ from seqlab.crf import (
     CrfError,
     brute_force,
     crf_log_z,
-    crf_nll,
     crf_nll_batch,
     softmax_nll_batch,
     viterbi_decode,
@@ -25,6 +24,11 @@ def make_layer(d_in, n_labels, seed=0, zero=False):
     return layer
 
 
+def nll_one(h, gold, layer):
+    """`crf_nll_batch` of one (T, d) sentence, as a batch of one."""
+    return crf_nll_batch(Tensor(np.asarray(h, dtype=float)[None]), np.asarray(gold)[None], layer)
+
+
 def random_instance(rng, T, L, d_in=4):
     layer = make_layer(d_in, L, seed=int(rng.integers(0, 10 ** 6)))
     layer.transitions.data[:L, :L] = rng.uniform(-1, 1, (L, L))
@@ -37,7 +41,7 @@ def random_instance(rng, T, L, d_in=4):
 class TestCrfNll:
     def test_uniform_single_step(self):
         layer = make_layer(4, 3, zero=True)
-        loss = crf_nll(np.zeros((1, 4)), [0], layer)
+        loss = nll_one(np.zeros((1, 4)), [0], layer)
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_matches_brute_force_t2_l2(self):
@@ -46,7 +50,7 @@ class TestCrfNll:
         gold = [1, 0]
         log_z, _, dist = brute_force(h, layer)
         expected = -dist[tuple(gold)]
-        assert crf_nll(h, gold, layer).item() == pytest.approx(expected, abs=1e-10)
+        assert nll_one(h, gold, layer).item() == pytest.approx(expected, abs=1e-10)
 
     def test_confident_gold_near_zero_loss(self):
         L = 3
@@ -54,13 +58,13 @@ class TestCrfNll:
         layer.proj_w.data[...] = 100.0 * np.eye(L) - 50.0
         gold = [0, 2, 1]
         h = np.eye(L)[gold]
-        loss = crf_nll(h, gold, layer)
+        loss = nll_one(h, gold, layer)
         assert 0.0 <= loss.item() < 1e-6
 
     def test_label_out_of_range(self):
         layer = make_layer(2, 2, zero=True)
         with pytest.raises(CrfError):
-            crf_nll(np.zeros((1, 2)), [5], layer)
+            nll_one(np.zeros((1, 2)), [5], layer)
 
     def test_nonnegative(self):
         rng = RngState(5)
@@ -69,7 +73,7 @@ class TestCrfNll:
             L = int(rng.integers(2, 5))
             h, layer = random_instance(rng, T, L)
             gold = rng.integers(0, L, T)
-            assert crf_nll(h, gold, layer).item() >= 0.0
+            assert nll_one(h, gold, layer).item() >= 0.0
 
     def test_emission_shift_invariance(self):
         rng = RngState(6)

@@ -10,11 +10,11 @@ from seqlab.embeddings import (
     elmo_combine,
     load_contextual_store,
     load_pretrained,
-    save_contextual_jsonl,
     save_contextual_store,
     sentence_key,
 )
 from seqlab.numeric import RngState, Tensor, grad_check
+from synthetic_data import save_contextual_jsonl
 
 
 def vocab_of(words):

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from seqlab import numeric as nm
 from seqlab.corpus import encode_batch
-from seqlab.lm import LMHead
+from seqlab.crf import viterbi_decode
 from seqlab.mtl import (
     ModelSpec,
     SpecError,
@@ -13,7 +14,8 @@ from seqlab.mtl import (
     save_checkpoint,
 )
 from seqlab.numeric import RngState, grad_check, sgd_step
-from synthetic_data import COARSE, FINE, make_corpus, make_vocab, tiny_spec_kwargs
+from synthetic_data import (COARSE, FINE, lm_pair_parameter_count, make_corpus, make_vocab,
+                            parameter_count, tiny_spec_kwargs)
 
 CORPUS = make_corpus(8, seed=0)
 VOCAB = make_vocab(CORPUS, make_corpus(6, seed=1, task=COARSE))
@@ -79,9 +81,9 @@ class TestBuildModel:
 
     def test_unshared_vs_shared_parameter_delta(self):
         spec = spec_for("hierarchical", "shared")
-        shared = build_model(spec, VOCAB).parameter_count()
-        unshared = build_model(spec_for("hierarchical", "unshared"), VOCAB).parameter_count()
-        assert unshared - shared == LMHead.pair_parameter_count(spec.hidden, VOCAB.n_lm_words)
+        shared = parameter_count(build_model(spec, VOCAB))
+        unshared = parameter_count(build_model(spec_for("hierarchical", "unshared"), VOCAB))
+        assert unshared - shared == lm_pair_parameter_count(spec.hidden, VOCAB.n_lm_words)
 
     def test_lm_none_has_no_ghost_parameters(self):
         model = build_model(spec_for("hierarchical", "none"), VOCAB)
@@ -96,8 +98,8 @@ class TestBuildModel:
 
     def test_deterministic_parameter_count(self):
         for topology, lm_mode in valid_combos():
-            a = build_model(spec_for(topology, lm_mode), VOCAB).parameter_count()
-            b = build_model(spec_for(topology, lm_mode), VOCAB).parameter_count()
+            a = parameter_count(build_model(spec_for(topology, lm_mode), VOCAB))
+            b = parameter_count(build_model(spec_for(topology, lm_mode), VOCAB))
             assert a == b
 
 
@@ -210,6 +212,25 @@ class TestForwardTask:
             assert np.array_equal(got[b], np.argmax(e, axis=1))
 
 
+class TestTapeFreeDecode:
+    """`Model.decode` runs its forward pass under `no_grad`; labels and states
+    are those of the grad-enabled pass."""
+
+    @pytest.mark.parametrize("topology, lm_mode", list(valid_combos()))
+    def test_decode_matches_taped_forward(self, topology, lm_mode):
+        model = build_model(spec_for(topology, lm_mode), VOCAB)
+        batch = batch_of(4)
+        for task in model.spec.tasks:
+            taped = model.forward_task(batch, task, with_loss=False).states
+            assert taped._parents != ()
+            with nm.no_grad():
+                free = model.forward_task(batch, task, with_loss=False).states
+            assert free.data.tobytes() == taped.data.tobytes()
+            assert free._parents == () and free._backward is None
+            want = viterbi_decode(taped, model.crf_heads[task]).labels
+            assert np.array_equal(model.decode(batch, task), want)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = build_model(spec_for("hierarchical", "shared"), VOCAB)
@@ -233,6 +254,47 @@ class TestCheckpoint:
         expected = b"".join(p.data.astype("<f8").tobytes() for p in model.parameters())
         assert (tmp_path / "ckpt" / "params.bin").read_bytes() == expected
         assert sorted(os.listdir(tmp_path / "ckpt")) == ["manifest.json", "params.bin"]
+
+    @pytest.mark.parametrize("topology, lm_mode", list(valid_combos()))
+    def test_round_trip_every_topology(self, tmp_path, monkeypatch, topology, lm_mode):
+        model = build_model(spec_for(topology, lm_mode), VOCAB)
+        batch = batch_of(4)
+        model.forward_task(batch, FINE).loss.backward()
+        sgd_step(model.parameters(), 0.5, 0.05, 0)
+        save_checkpoint(model, tmp_path / "ckpt")
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random value")
+
+        monkeypatch.setattr(nm.RngState, "uniform", draw)
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        monkeypatch.undo()
+        assert [p.name for p in loaded.parameters()] == [p.name for p in model.parameters()]
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        for task in model.spec.tasks:
+            assert np.array_equal(loaded.decode(batch, task), model.decode(batch, task))
+
+    def test_frozen_word_table_is_drawn_as_before(self, tmp_path):
+        model = build_model(spec_for("single", embeddings_trainable=False), VOCAB)
+        save_checkpoint(model, tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert "repr.word_emb" not in [p.name for p in loaded.parameters()]
+        fresh = build_model(spec_for("single", embeddings_trainable=False), VOCAB)
+        assert np.array_equal(loaded.word_repr.word_emb.data, fresh.word_repr.word_emb.data)
+
+    def test_transposed_shape_rejected(self, tmp_path):
+        import json
+
+        model = build_model(spec_for("single"), VOCAB)
+        save_checkpoint(model, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        rec = next(r for r in manifest["params"] if r["name"].endswith("W_x"))
+        rec["shape"] = rec["shape"][::-1]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SpecError, match="W_x.*saved shape"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_shape_validation(self, tmp_path):
         import json, os
