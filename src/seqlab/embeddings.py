@@ -1,15 +1,20 @@
 """Per-token input vectors: static embeddings and precomputed contextual layers."""
 
 import hashlib
+import itertools
 import json
 import struct
 
 import numpy as np
 
 from . import numeric as nm
+from .corpus import normalize_word
 from .numeric import RngState, Tensor
 
 UNIT_SEP = "\x1f"
+# Lines of a pretrained-vector file parsed per C-reader call: large enough to
+# amortize the call, small enough that a block of a 300-d file stays a few MB.
+BLOCK_LINES = 4096
 
 
 class EmbeddingError(ValueError):
@@ -36,40 +41,93 @@ class EmbeddingMatrix:
 def load_pretrained(path, vocab, seed=0):
     """Read `word f_1 ... f_d` text embeddings for the given vocabulary.
 
-    Words missing from the file get rows drawn uniform in +/-sqrt(3/d);
-    the PAD row is zero. Dimension mismatches and bad floats are errors.
+    The file is streamed in blocks of BLOCK_LINES lines, each parsed by
+    numpy's C text reader straight into the table. Lines without a space are
+    skipped; a dimension mismatch or a value the reader rejects is an error
+    naming the line. A file key fills the row of the vocabulary word equal to
+    it, else of its normalized form: an exact key beats a normalized one,
+    among normalized-only keys the first in file order wins, and a repeated
+    key takes its last line. Words left without a vector get rows drawn
+    uniform in +/-sqrt(3/d); the PAD row is zero.
     """
-    vectors = {}
-    dim = None
+    word_to_id = vocab.word_to_id
+    claim = {}  # vocabulary id -> the file key whose vector fills its row
+    matrix = dim = None
+    lineno = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            word, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise EmbeddingError(
-                    "line %d: dimension %d, expected %d" % (lineno, len(values), dim)
-                )
-            try:
-                vectors[word] = np.array([float(v) for v in values])
-            except ValueError as e:
-                raise EmbeddingError("line %d: %s" % (lineno, e)) from None
+        while True:
+            lines = list(itertools.islice(fh, BLOCK_LINES))
+            if not lines:
+                break
+            keys, kept, linenos, mismatch = [], [], [], None
+            for line in lines:
+                lineno += 1
+                cut = line.find(" ")
+                if cut < 0:
+                    continue
+                n_values = line.count(" ")
+                if dim is None:
+                    dim = n_values
+                    matrix = np.zeros((vocab.n_words, dim))
+                elif n_values != dim:
+                    mismatch = "line %d: dimension %d, expected %d" % (lineno, n_values, dim)
+                    break
+                keys.append(line[:cut])
+                kept.append(line)
+                linenos.append(lineno)
+            # parsed first, so that a bad value above the mismatched line is named
+            rows = _parse_block(kept, linenos, dim) if kept else None
+            if mismatch:
+                raise EmbeddingError(mismatch)
+            take = {}  # vocabulary id -> row of this block; later rows win
+            for row, key in enumerate(keys):
+                idx = word_to_id.get(key)
+                if idx is None:
+                    idx = word_to_id.get(normalize_word(key))
+                    if idx is None or claim.get(idx, key) != key:
+                        continue
+                claim[idx] = key
+                take[idx] = row
+            if take:
+                n = len(take)
+                matrix[np.fromiter(take, np.intp, n)] = rows[np.fromiter(take.values(), np.intp, n)]
     if dim is None:
         raise EmbeddingError("no embeddings found in %s" % path)
     rng = RngState(seed).child("pretrained-oov")
     bound = np.sqrt(3.0 / dim)
-    matrix = np.zeros((vocab.n_words, dim))
-    coverage = 0
-    for word, idx in vocab.word_to_id.items():
-        if word in vectors:
-            matrix[idx] = vectors[word]
-            coverage += 1
-        elif idx != 0:
+    for idx in word_to_id.values():
+        if idx not in claim and idx != 0:
             matrix[idx] = rng.uniform(-bound, bound, dim)
-    return EmbeddingMatrix(matrix, coverage=coverage)
+    return EmbeddingMatrix(matrix, coverage=len(claim))
+
+
+def _floats(lines, dim):
+    """The (len(lines), dim) float64 values after the first field of each
+    line, or None if the C reader rejects a value or finds another shape."""
+    try:
+        rows = np.loadtxt(lines, dtype=np.float64, delimiter=" ", comments=None,
+                          quotechar=None, ndmin=2, usecols=range(1, dim + 1))
+    except ValueError:
+        return None
+    return rows if rows.shape == (len(lines), dim) else None
+
+
+def _parse_block(lines, linenos, dim):
+    """Parse a block of `word f_1 ... f_d` lines in one C call; if that fails,
+    parse them one by one to name the first bad line and value."""
+    rows = _floats(lines, dim)
+    if rows is not None:
+        return rows
+    rows = np.empty((len(lines), dim))
+    for i, (lineno, line) in enumerate(zip(linenos, lines)):
+        row = _floats([line], dim)
+        if row is None:
+            values = line.rstrip("\n").split(" ")[1:]
+            bad = next((v for v in values if _floats(["_ " + v], 1) is None), line)
+            raise EmbeddingError("line %d: could not convert string to float: %r"
+                                 % (lineno, bad))
+        rows[i] = row
+    return rows
 
 
 def random_embeddings(vocab, dim, seed=0):
@@ -200,20 +258,28 @@ def load_contextual_store(path):
 def _load_binary(fh):
     store = ContextualVectorStore()
     index = 0
+    pos = fh.tell()
+    size = fh.seek(0, 2)  # from the end: the file's size
+    fh.seek(pos)
     while True:
         klen = fh.read(1)
         if not klen:
             break
-        try:
-            key = fh.read(klen[0]).hex()
-            T, L, d = struct.unpack("<III", fh.read(12))
-            payload = fh.read(4 * L * T * d)
-            values = np.frombuffer(payload, dtype="<f4").reshape(L, T, d)
-        except (struct.error, ValueError) as e:
-            raise EmbeddingError("malformed record %d: %s" % (index, e)) from None
-        store.add(key, values.astype(np.float64), token_count=T)
+        key, head = fh.read(klen[0]), fh.read(12)
+        if len(key) != klen[0] or len(head) != 12:
+            raise EmbeddingError("malformed record %d: truncated header" % index)
+        T, L, d = struct.unpack("<III", head)
+        nbytes = 4 * L * T * d
+        if nbytes > size - fh.tell():
+            raise EmbeddingError("malformed record %d: %d x %d x %d values, only %d bytes "
+                                 "left" % (index, L, T, d, size - fh.tell()))
+        values = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(L, T, d)
+        store.add(key.hex(), values.astype(np.float64), token_count=T)
         index += 1
     return store
+
+
+_JSONL_COUNTS = ("layer_count", "token_count", "dim")
 
 
 def _load_jsonl(fh):
@@ -224,11 +290,17 @@ def _load_jsonl(fh):
             continue
         try:
             rec = json.loads(line)
-            values = np.array(rec["values"], dtype=np.float64).reshape(
-                rec["layer_count"], rec["token_count"], rec["dim"]
-            )
-            key = rec["key"]
-        except (KeyError, ValueError) as e:
+        except (ValueError, RecursionError) as e:
             raise EmbeddingError("malformed record %d: %s" % (index, e)) from None
-        store.add(key, values, token_count=rec["token_count"])
+        if not (isinstance(rec, dict) and isinstance(rec.get("key"), str) and "values" in rec
+                and all(type(rec.get(k)) is int and rec[k] >= 0 for k in _JSONL_COUNTS)):
+            raise EmbeddingError(
+                "malformed record %d: need an object with a string key, values, and "
+                "non-negative integer %s" % (index, ", ".join(_JSONL_COUNTS)))
+        shape = tuple(rec[k] for k in _JSONL_COUNTS)
+        try:
+            values = np.array(rec["values"], dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise EmbeddingError("malformed record %d: %s" % (index, e)) from None
+        store.add(rec["key"], values, token_count=shape[1])
     return store

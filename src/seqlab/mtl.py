@@ -250,23 +250,36 @@ def build_model(spec, vocab, embedding_matrix=None, contextual_store=None, saved
 # -- checkpoints ------------------------------------------------------------
 
 
-def vocab_hash(vocab):
-    payload = json.dumps(vocab.to_dict(), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+def vocab_json(vocab):
+    """The vocabulary as the manifest holds it; `vocab_sha256` hashes this text."""
+    return json.dumps(vocab.to_dict(), sort_keys=True)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def save_checkpoint(model, directory):
-    """Write manifest.json + params.bin (little-endian float64) atomically."""
+    """Write manifest.json + params.bin (little-endian float64) atomically.
+
+    The vocabulary is serialized once: the manifest embeds the same text
+    that `vocab_sha256` hashes. The manifest is `json.dumps(..., sort_keys=True)`
+    of all its fields, assembled key by key.
+    """
     os.makedirs(directory, exist_ok=True)
     params = model.parameters()
+    vocab_text = vocab_json(model.vocab)
     manifest = {
         "format": "seqlab-checkpoint-v1",
         "spec": asdict(model.spec),
-        "vocab_sha256": vocab_hash(model.vocab),
-        "vocab": model.vocab.to_dict(),
+        "vocab_sha256": _sha256(vocab_text),
         "params": [{"name": p.name, "shape": list(p.shape)} for p in params],
     }
-    for name, chunks in (("manifest.json", [json.dumps(manifest, sort_keys=True).encode()]),
+    encoded = {key: json.dumps(value, sort_keys=True) for key, value in manifest.items()}
+    encoded["vocab"] = vocab_text
+    text = "{%s}" % ", ".join("%s: %s" % (json.dumps(key), encoded[key])
+                              for key in sorted(encoded))
+    for name, chunks in (("manifest.json", [text.encode()]),
                          ("params.bin", (np.ascontiguousarray(p.data, dtype="<f8")
                                          for p in params))):
         tmp = os.path.join(directory, name + ".tmp")
@@ -274,6 +287,15 @@ def save_checkpoint(model, directory):
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, os.path.join(directory, name))
+
+
+def _fits(value, field):
+    """Whether a manifest value suits a ModelSpec field: a JSON bool for bool,
+    an integer for int, a number for float, a string (or the None default)
+    for str."""
+    if field.type is float:
+        return type(value) in (int, float)
+    return type(value) is field.type or (value is None and field.default is None)
 
 
 def _is_param_record(rec):
@@ -311,8 +333,12 @@ def load_checkpoint(directory, contextual_store=None):
         vocab = Vocabulary.from_dict(manifest["vocab"])
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise SpecError("malformed vocabulary in checkpoint: %r" % e) from None
-    if vocab_hash(vocab) != manifest["vocab_sha256"]:
+    if _sha256(vocab_json(vocab)) != manifest["vocab_sha256"]:
         raise SpecError("vocabulary hash mismatch in checkpoint")
+    for f in fields(ModelSpec):
+        if f.name in spec_fields and not _fits(spec_fields[f.name], f):
+            raise SpecError("checkpoint spec %s: %r is not of type %s"
+                            % (f.name, spec_fields[f.name], f.type.__name__))
     spec = ModelSpec(**spec_fields)
     arrays = {}
     with open(os.path.join(directory, "params.bin"), "rb") as fh:

@@ -232,6 +232,13 @@ def _unknown_spec_key(manifest):
     return manifest
 
 
+def _spec_value(key, value):
+    def edit(manifest):
+        manifest["spec"][key] = value
+        return manifest
+    return edit
+
+
 class TestCorruptCheckpoint:
     """`evaluate --model` on a damaged checkpoint prints one `error:` line."""
 
@@ -253,7 +260,9 @@ class TestCorruptCheckpoint:
         (_without("vocab"), "manifest has no vocab"),
         (_without("params"), "manifest has no params"),
         (_unknown_spec_key, "unknown keys beam_width"),
-    ], ids=["list", "no_vocab", "no_params", "unknown_spec_key"])
+        (_spec_value("input_dropout", "0.3"), "spec input_dropout: '0.3' is not of type float"),
+        (_spec_value("hidden", "6"), "spec hidden: '6' is not of type int"),
+    ], ids=["list", "no_vocab", "no_params", "unknown_spec_key", "str_dropout", "str_hidden"])
     def test_malformed_manifest(self, model, data_dir, capsys, edit, message):
         path = model / "manifest.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
@@ -264,6 +273,20 @@ class TestCorruptCheckpoint:
         (model / "params.bin").write_bytes(payload[:-12])
         err = self.evaluate(model, data_dir, capsys)
         assert "need %d bytes, params.bin has %d" % (len(payload), len(payload) - 12) in err
+
+
+@pytest.mark.parametrize("record", [
+    "[1, 2, 3]",
+    json.dumps({"key": "00", "layer_count": 1, "token_count": "1", "dim": 1, "values": [[[0]]]}),
+], ids=["list", "str_token_count"])
+def test_malformed_contextual_record(run_dir, data_dir, tmp_path, capsys, record):
+    store = tmp_path / "store.jsonl"
+    store.write_text(record + "\n")
+    status = main(["evaluate", "--model", str(run_dir / "best"),
+                   "--test", str(data_dir / "dev.conll"), "--contextual", str(store)])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error: malformed record 0: ") and err.count("\n") == 1
 
 
 class TestSelfVerification:

@@ -1,10 +1,13 @@
+import hashlib
+import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from seqlab import numeric as nm
-from seqlab.corpus import encode_batch
+from seqlab.corpus import Vocabulary, encode_batch
 from seqlab.crf import viterbi_decode
 from seqlab.mtl import (
     ModelSpec,
@@ -283,9 +286,42 @@ class TestCheckpoint:
         fresh = build_model(spec_for("single", embeddings_trainable=False), VOCAB)
         assert np.array_equal(loaded.word_repr.word_emb.data, fresh.word_repr.word_emb.data)
 
-    def test_transposed_shape_rejected(self, tmp_path):
-        import json
+    def test_manifest_bytes_as_written_before(self, tmp_path):
+        # the vocabulary is serialized once per save; the manifest stays the
+        # sort_keys json.dumps of the whole record, so checkpoints load both ways
+        vocab = Vocabulary.from_dict(VOCAB.to_dict())
+        for word in ("caf\u00e9", "\u6771\u4eac", 'q"uote', "back\\slash", "tab\t"):
+            vocab.word_to_id[word] = len(vocab.word_to_id)
+        model = build_model(spec_for("single"), vocab)
+        save_checkpoint(model, tmp_path / "ckpt")
+        vocab_text = json.dumps(vocab.to_dict(), sort_keys=True).encode("utf-8")
+        expected = json.dumps({
+            "format": "seqlab-checkpoint-v1",
+            "spec": asdict(model.spec),
+            "vocab_sha256": hashlib.sha256(vocab_text).hexdigest(),
+            "vocab": vocab.to_dict(),
+            "params": [{"name": p.name, "shape": list(p.shape)} for p in model.parameters()],
+        }, sort_keys=True).encode()
+        assert (tmp_path / "ckpt" / "manifest.json").read_bytes() == expected
+        assert load_checkpoint(tmp_path / "ckpt").vocab.to_dict() == vocab.to_dict()
 
+    @pytest.mark.parametrize("key, value, ok", [
+        ("lam", 0, True), ("aux_task", None, True), ("crf_enabled", 1, False),
+        ("seed", 2.0, False), ("main_task", None, False), ("hidden", True, False),
+    ])
+    def test_spec_value_types(self, tmp_path, key, value, ok):
+        save_checkpoint(build_model(spec_for("single"), VOCAB), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        if ok:
+            assert getattr(load_checkpoint(tmp_path / "ckpt").spec, key) == value
+        else:
+            with pytest.raises(SpecError, match="^checkpoint spec %s: .* is not of type" % key):
+                load_checkpoint(tmp_path / "ckpt")
+
+    def test_transposed_shape_rejected(self, tmp_path):
         model = build_model(spec_for("single"), VOCAB)
         save_checkpoint(model, tmp_path / "ckpt")
         manifest_path = tmp_path / "ckpt" / "manifest.json"
@@ -297,8 +333,6 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "ckpt")
 
     def test_shape_validation(self, tmp_path):
-        import json, os
-
         model = build_model(spec_for("single"), VOCAB)
         save_checkpoint(model, tmp_path / "ckpt")
         manifest_path = tmp_path / "ckpt" / "manifest.json"
