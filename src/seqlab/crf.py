@@ -11,8 +11,9 @@ from .numeric import Tensor, glorot_parameter, init_parameter
 
 MASK = -1e4  # stand-in for -inf that keeps gradients defined
 BRUTE_FORCE_GUARD = 10 ** 6
-# float64 elements (512 KiB) of Viterbi's per-step score buffer
-VITERBI_BUFFER_ELEMS = 2 ** 16
+# float64 elements (512 KiB) of the (rows, L, L) per-step buffer of the CRF
+# recursions, so that their passes over it stay in a core's own cache
+STEP_BUFFER_ELEMS = 2 ** 16
 
 
 class CrfError(ValueError):
@@ -88,8 +89,17 @@ def _lse_rows(x):
     return np.log(x.sum(axis=1)) + m[:, 0]
 
 
+def _row_group(B, L):
+    """Rows per pass of the log-partition recursions: the whole batch when
+    its step buffer fits STEP_BUFFER_ELEMS, otherwise one row at a time.
+    (Groups in between would change the order in which the backward sums the
+    transition gradient over rows.)"""
+    return max(B, 1) if B * L * L <= STEP_BUFFER_ELEMS else 1
+
+
 def _forward(e, layer):
-    """Log-space forward recursion over (B, T, L) emission scores.
+    """Log-space forward recursion over (B, T, L) emission scores, in row
+    groups of `_row_group`.
 
     Returns alpha (B, T, L), the log-sum of the scores of every label prefix
     ending in each label at each step, and log Z (B,).
@@ -99,9 +109,12 @@ def _forward(e, layer):
     block = trans[:L, :L]
     alpha = np.empty((B, T, L))
     alpha[:, 0] = e[:, 0] + trans[layer.start, :L]
-    scores = np.empty((B, L, L))
-    for t in range(1, T):
-        alpha[:, t] = _lse_rows(_step_scores(alpha, block, e, t, scores))
+    group = _row_group(B, L)
+    scores = np.empty((group, L, L))
+    for lo in range(0, B, group):
+        rows = slice(lo, lo + group)
+        for t in range(1, T):
+            alpha[rows, t] = _lse_rows(_step_scores(alpha[rows], block, e[rows], t, scores))
     return alpha, _lse_rows(alpha[:, -1] + trans[:L, layer.stop])
 
 
@@ -111,7 +124,9 @@ def crf_log_z(emissions, layer):
     One tape node over (emissions, transitions). Its backward yields the
     forward-backward marginals (Sutton & McCallum 2012, sec. 4.1): it replays
     the recursion in reverse, recomputing each step's softmax from the stored
-    alphas, so no (B, T, L, L) array of step scores is kept.
+    alphas, so no (B, T, L, L) array of step scores is kept. Both directions
+    run in the row groups of `_row_group`; every value is bitwise the same
+    as for the whole batch at once.
     """
     B, T, L = emissions.shape
     trans = layer.transitions
@@ -122,25 +137,32 @@ def crf_log_z(emissions, layer):
         block = tr[:L, :L]
         d_e = np.empty_like(e)
         d_trans = np.zeros_like(tr)
-        d_block = np.empty((T, L, L))
+        group = _row_group(B, L)
+        d_block = np.zeros((T, L, L))
         final = alpha[:, -1] + tr[:L, layer.stop]
-        d_alpha = g[:, None] * np.exp(final - log_z[:, None])
-        d_trans[:L, layer.stop] = d_alpha.sum(axis=0)
-        d_scores = np.empty((B, L, L))
-        for t in range(T - 1, 0, -1):
-            _step_scores(alpha, block, e, t, d_scores)
-            d_scores -= alpha[:, t, None, :]
-            np.exp(d_scores, out=d_scores)
-            d_scores *= d_alpha[:, None, :]
-            d_e[:, t] = d_scores.sum(axis=1)
-            d_block[t] = d_scores.sum(axis=0)
-            d_alpha = d_scores.sum(axis=2)
+        d_final = g[:, None] * np.exp(final - log_z[:, None])
+        d_trans[:L, layer.stop] = d_final.sum(axis=0)
+        d_scores = np.empty((group, L, L))
+        for lo in range(0, B, group):
+            rows = slice(lo, lo + group)
+            a, d_alpha = alpha[rows], d_final[rows]
+            for t in range(T - 1, 0, -1):
+                _step_scores(a, block, e[rows], t, d_scores)
+                d_scores -= a[:, t, None, :]
+                np.exp(d_scores, out=d_scores)
+                d_scores *= d_alpha[:, None, :]
+                d_e[rows, t] = d_scores.sum(axis=1)
+                if group == B:
+                    d_block[t] = d_scores.sum(axis=0)
+                else:  # row by row, in the order sum(axis=0) adds them
+                    d_block[t] += d_scores[0]
+                d_alpha = d_scores.sum(axis=2)
+            d_e[rows, 0] = d_alpha
         # summed first step to last, the order of the per-step graph, so that
         # the gradient is bit-identical to it
         for t in range(1, T):
             d_trans[:L, :L] += d_block[t]
-        d_e[:, 0] = d_alpha
-        d_trans[layer.start, :L] = d_alpha.sum(axis=0)
+        d_trans[layer.start, :L] = d_e[:, 0].sum(axis=0)
         if emissions.requires_grad:
             emissions.accumulate(d_e)
         if trans.requires_grad:
@@ -202,7 +224,7 @@ def viterbi_decode(h, layer):
     two adds and the argmax. `delta` is gathered from the argmax, not taken
     by a fourth `max` pass; that is the same value, as the max is the
     element at the first argmax. The batch is decoded in groups of rows
-    whose step buffer fits VITERBI_BUFFER_ELEMS, so those passes stay in a
+    whose step buffer fits STEP_BUFFER_ELEMS, so those passes stay in a
     core's own cache whatever B is.
     """
     e = emission_scores(h, layer)
@@ -213,7 +235,7 @@ def viterbi_decode(h, layer):
     block_t = np.ascontiguousarray(trans[:L, :L].T)  # [j, i] = trans[i, j]
     back = np.empty((T, B, L), dtype=np.intp)
     final = np.empty((B, L))
-    group = max(1, VITERBI_BUFFER_ELEMS // (L * L))
+    group = max(1, STEP_BUFFER_ELEMS // (L * L))
     buf = np.empty((min(group, B), L, L))
     flat = buf.reshape(-1)
     # flat index of element (r, j, 0) of the buffer; + back[t, r, j] is the max

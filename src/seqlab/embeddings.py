@@ -219,15 +219,6 @@ class ContextualVectorStore:
                 "contextual vectors missing for sentence %r" % " ".join(tokens)
             ) from None
 
-    def merge(self, other):
-        """Union of two stores; duplicate keys are an error."""
-        out = ContextualVectorStore(self.n_layers, self.dim)
-        for key, values in self._records.items():
-            out.add(key, values)
-        for key, values in other._records.items():
-            out.add(key, values)
-        return out
-
 
 _MAGIC = b"SLCV"
 
@@ -274,12 +265,19 @@ def _load_binary(fh):
             raise EmbeddingError("malformed record %d: %d x %d x %d values, only %d bytes "
                                  "left" % (index, L, T, d, size - fh.tell()))
         values = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(L, T, d)
-        store.add(key.hex(), values.astype(np.float64), token_count=T)
+        store.add(key.hex(), _finite(index, values.astype(np.float64)), token_count=T)
         index += 1
     return store
 
 
 _JSONL_COUNTS = ("layer_count", "token_count", "dim")
+
+
+def _finite(index, values):
+    if not np.isfinite(values).all():
+        raise EmbeddingError("malformed record %d: non-finite value %r"
+                             % (index, float(values[~np.isfinite(values)][0])))
+    return values
 
 
 def _load_jsonl(fh):
@@ -302,5 +300,10 @@ def _load_jsonl(fh):
             values = np.array(rec["values"], dtype=np.float64).reshape(shape)
         except (TypeError, ValueError, OverflowError) as e:
             raise EmbeddingError("malformed record %d: %s" % (index, e)) from None
-        store.add(rec["key"], values, token_count=shape[1])
+        # numpy reads null as nan, true as 1.0 and "2" as 2.0; JSON needs a number
+        for x in np.array(rec["values"], dtype=object).flat:
+            if type(x) not in (int, float):
+                raise EmbeddingError("malformed record %d: value %s is not a number"
+                                     % (index, json.dumps(x)))
+        store.add(rec["key"], _finite(index, values), token_count=shape[1])
     return store

@@ -34,13 +34,41 @@ class LMHead:
 
 
 def _direction_loss(states, w, b, targets):
-    """Mean over sentences of the summed softmax cross-entropy."""
+    """Mean over sentences of the summed softmax cross-entropy.
+
+    One tape node over (states, w, b). The forward performs the operations
+    of the per-op graph (matmul, add, logsumexp, picked target, sum) in the
+    same order; the hand-written backward adds the target's -1 into the
+    softmax rows instead of scattering it into a zero array, and as the two
+    contributions to the logits' gradient commute, every gradient is
+    bit-identical to that graph's (`tests/tape_reference.py`).
+    """
     B, T, H = states.shape
-    logits = nm.add(nm.matmul(states.reshape(B * T, H), w), b)
-    lse = nm.logsumexp(logits, axis=1)
-    picked = nm.gather_nd(logits, np.arange(B * T), targets.reshape(-1))
-    nll = nm.add(lse, nm.mul(picked, -1.0)).reshape(B, T)
-    return nm.mul(nm.tsum(nll), 1.0 / B)
+    h2 = states.data.reshape(B * T, H)
+    rows, targets = np.arange(B * T), targets.reshape(-1)
+    logits = h2 @ w.data
+    logits += b.data
+    m = logits.max(axis=1, keepdims=True)
+    shifted = logits - m
+    np.exp(shifted, out=shifted)
+    lse = np.squeeze(np.log(np.sum(shifted, axis=1, keepdims=True)) + m, axis=1)
+    nll = lse + logits[rows, targets] * -1.0
+    loss = nll.reshape(B, T).sum() * (1.0 / B)
+
+    def backward(g):
+        gs = g * (1.0 / B)
+        d = np.subtract(logits, lse[:, None])
+        np.exp(d, out=d)
+        d *= gs
+        d[rows, targets] += gs * -1.0
+        if b.requires_grad:
+            b.accumulate(d.sum(axis=0))
+        if w.requires_grad:
+            w.accumulate(h2.T @ d)
+        if states.requires_grad:
+            states.accumulate((d @ w.data.T).reshape(B, T, H))
+
+    return nm.make_node(loss, (states, w, b), backward)
 
 
 def lm_losses(forward_states, backward_states, lm_ids, head):

@@ -570,11 +570,15 @@ def sgd_step(params, base_lr, decay, epoch, clip_norm=5.0):
     """SGD update with 1/(1 + decay*epoch) learning-rate decay.
 
     Gradients are global-norm clipped to `clip_norm` (None disables), the
-    update is applied, and every gradient is cleared. A row-sparse parameter
-    is checked, normed and updated on the rows its gradient touched only;
-    its other rows have zero gradient and stay bitwise unchanged.
+    update is applied in place, and every gradient is cleared. A gradient
+    with a non-finite entry raises before any update, naming its parameter;
+    with clipping on, a finite sum of squares (computed for the norm anyway)
+    already shows every entry is finite. A row-sparse parameter is checked,
+    normed and updated on the rows its gradient touched only; its other rows
+    have zero gradient and stay bitwise unchanged.
     """
     grads = []
+    squares = []
     for p in params:
         if p.row_grads is not None:
             ids, g = p.grad_rows()
@@ -582,22 +586,25 @@ def sgd_step(params, base_lr, decay, epoch, clip_norm=5.0):
             if p.grad is None:
                 p.zero_grad()
             ids, g = None, p.grad
-        if not np.isfinite(g).all():
+        if clip_norm is not None:
+            squares.append(float((g * g).sum()))
+        if (clip_norm is None or not np.isfinite(squares[-1])) and not np.isfinite(g).all():
             raise NumericError("non-finite gradient in parameter %r" % p.name)
         grads.append((p, ids, g))
     lr = learning_rate(base_lr, decay, epoch)
     if clip_norm is not None:
-        total = np.sqrt(sum(float((g * g).sum()) for _, _, g in grads))
+        total = np.sqrt(sum(squares))
         if total > clip_norm:
             scale = clip_norm / total
             for _, _, g in grads:
                 g *= scale
     for p, ids, g in grads:
+        g *= lr
         if ids is None:
-            p.data -= lr * g
-            p.grad[...] = 0.0
+            p.data -= g
+            g.fill(0.0)
         else:
-            p.data[ids] -= lr * g
+            p.data[ids] -= g
             p.row_grads.clear()
     return lr
 

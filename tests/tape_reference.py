@@ -46,3 +46,14 @@ def crf_log_z(emissions, layer):
         alpha = nm.logsumexp(scores, axis=1)
     final = nm.add(alpha, trans[:L, layer.stop].reshape(1, L))
     return nm.logsumexp(final, axis=1)
+
+
+def lm_direction_loss(states, w, b, targets):
+    """LM softmax cross-entropy as matmul/add/logsumexp/gather_nd/mul/tsum
+    nodes: the graph that `lm._direction_loss` fuses into one node."""
+    B, T, H = states.shape
+    logits = nm.add(nm.matmul(states.reshape(B * T, H), w), b)
+    lse = nm.logsumexp(logits, axis=1)
+    picked = nm.gather_nd(logits, np.arange(B * T), targets.reshape(-1))
+    nll = nm.add(lse, nm.mul(picked, -1.0)).reshape(B, T)
+    return nm.mul(nm.tsum(nll), 1.0 / B)

@@ -278,7 +278,9 @@ class TestCorruptCheckpoint:
 @pytest.mark.parametrize("record", [
     "[1, 2, 3]",
     json.dumps({"key": "00", "layer_count": 1, "token_count": "1", "dim": 1, "values": [[[0]]]}),
-], ids=["list", "str_token_count"])
+    json.dumps({"key": "00", "layer_count": 1, "token_count": 1, "dim": 2,
+                "values": [[[None, True]]]}),
+], ids=["list", "str_token_count", "null_value"])
 def test_malformed_contextual_record(run_dir, data_dir, tmp_path, capsys, record):
     store = tmp_path / "store.jsonl"
     store.write_text(record + "\n")
@@ -296,7 +298,7 @@ class TestSelfVerification:
         assert "crf exactness: 0/40 failed" in out
         assert out.count("ok") == 5
 
-    def test_gradcheck_passes(self, capsys):
-        assert main(["gradcheck", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
+    def test_gradcheck_passes(self, gradcheck_run):
+        code, out, _ = gradcheck_run
+        assert code == 0
         assert "overall max rel. error" in out

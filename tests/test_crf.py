@@ -154,7 +154,7 @@ class TestViterbi:
         hs = rng.uniform(-2, 2, (5, 7, 4))
         whole = viterbi_decode(hs, layer)
         # groups of 2 rows: 2 + 2 + 1
-        monkeypatch.setattr("seqlab.crf.VITERBI_BUFFER_ELEMS", 2 * 5 * 5)
+        monkeypatch.setattr("seqlab.crf.STEP_BUFFER_ELEMS", 2 * 5 * 5)
         grouped = viterbi_decode(hs, layer)
         assert np.array_equal(grouped.labels, whole.labels)
         assert np.array_equal(grouped.score, whole.score)

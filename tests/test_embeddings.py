@@ -279,16 +279,6 @@ class TestContextualStore:
         with pytest.raises(EmbeddingError, match="duplicate"):
             store.add_sentence(["a"], np.zeros((1, 1, 2)))
 
-    def test_merge_union_and_duplicate(self):
-        s1 = ContextualVectorStore()
-        s1.add_sentence(["a"], np.zeros((1, 1, 2)))
-        s2 = ContextualVectorStore()
-        s2.add_sentence(["b"], np.ones((1, 1, 2)))
-        merged = s1.merge(s2)
-        assert len(merged) == 2
-        with pytest.raises(EmbeddingError, match="duplicate"):
-            s1.merge(s1)
-
     def test_inconsistent_dims_rejected(self):
         store = ContextualVectorStore()
         store.add_sentence(["a"], np.zeros((2, 1, 4)))
@@ -336,8 +326,12 @@ class TestContextualLoadersTotal:
         jsonl_record(layer_count=-1), jsonl_record(key=["a"]), jsonl_record(values={"a": 1}),
         jsonl_record(values=[[[1e999999]]]).replace("Infinity", "1" + "0" * 400),
         jsonl_record(values=[[[1]], [[1, 2]]]), jsonl_record(dim=3), "{", "[" * 100000,
+        jsonl_record(values=[[[None, True]]]), jsonl_record(values=[[[1.0, False]]]),
+        jsonl_record(values=[[[1, "2"]]]), jsonl_record(values=[[[float("nan"), 1]]]),
+        jsonl_record(values=[[[1, float("-inf")]]]), jsonl_record(values=[[[1e308, 1e309]]]),
     ], ids=["list", "string", "empty", "str_count", "bool_dim", "negative", "list_key",
-            "dict_values", "huge_int", "ragged", "shape", "truncated", "deep"])
+            "dict_values", "huge_int", "ragged", "shape", "truncated", "deep", "null",
+            "false", "str_value", "nan", "minus_infinity", "overflow_float"])
     def test_jsonl_record_rejected(self, line):
         with pytest.raises(EmbeddingError, match="^malformed record 1: "):
             _load_jsonl(io.StringIO(jsonl_record() + "\n" + line + "\n"))
@@ -345,7 +339,9 @@ class TestContextualLoadersTotal:
     @pytest.mark.parametrize("data", [
         binary_record()[:5], binary_record()[:-1], binary_record(counts=(1, 1, 2 ** 31)),
         binary_record(counts=(2 ** 32 - 1,) * 3), b"\x05ab",
-    ], ids=["header", "payload", "huge", "overflow", "key"])
+        binary_record(values=struct.pack("<2f", 1, float("nan"))),
+        binary_record(values=struct.pack("<2f", float("inf"), 1)),
+    ], ids=["header", "payload", "huge", "overflow", "key", "nan", "infinity"])
     def test_binary_record_rejected(self, data):
         with pytest.raises(EmbeddingError, match="^malformed record 1: "):
             _load_binary(io.BytesIO(binary_record(key=b"j") + data))
@@ -354,9 +350,11 @@ class TestContextualLoadersTotal:
     @given(data=st.binary(max_size=64), prefix=st.sampled_from([b"", binary_record()]))
     def test_binary_fuzz(self, data, prefix):
         try:
-            _load_binary(io.BytesIO(prefix + data))
+            store = _load_binary(io.BytesIO(prefix + data))
         except EmbeddingError:
-            pass
+            return
+        for values in store._records.values():
+            assert np.isfinite(values).all()
 
     @settings(max_examples=150, deadline=None)
     @given(text=st.one_of(
@@ -366,9 +364,18 @@ class TestContextualLoadersTotal:
                      lambda kids: st.lists(kids, max_size=3)
                      | st.dictionaries(st.sampled_from(["key", "values", "layer_count",
                                                         "token_count", "dim"]), kids),
-                     max_leaves=8).map(json.dumps)))
+                     max_leaves=8).map(json.dumps),
+        st.builds(lambda leaves: jsonl_record(values=[[leaves]], dim=2),
+                  st.lists(st.none() | st.booleans() | st.integers() | st.floats()
+                           | st.text(max_size=2), min_size=2, max_size=2))))
     def test_jsonl_fuzz(self, text):
         try:
-            _load_jsonl(io.StringIO(text))
+            store = _load_jsonl(io.StringIO(text))
         except EmbeddingError:
-            pass
+            return
+        # a store that loads holds JSON numbers only, all of them finite
+        for line in filter(str.strip, text.splitlines()):
+            leaves = np.array(json.loads(line)["values"], dtype=object).reshape(-1)
+            assert all(type(x) in (int, float) for x in leaves)
+        for values in store._records.values():
+            assert np.isfinite(values).all()

@@ -148,6 +148,86 @@ class TestSgdStep:
         assert np.array_equal(p.grad, np.zeros(2))
 
 
+def sgd_step_allocating(params, base_lr, decay, epoch, clip_norm=5.0):
+    """The update as it was written before it went in place: a separate
+    finiteness pass and an `lr * g` temporary per parameter."""
+    grads = []
+    for p in params:
+        if p.row_grads is not None:
+            ids, g = p.grad_rows()
+        else:
+            ids, g = None, p.grad
+        if not np.isfinite(g).all():
+            raise NumericError("non-finite gradient in parameter %r" % p.name)
+        grads.append((p, ids, g))
+    lr = nm.learning_rate(base_lr, decay, epoch)
+    if clip_norm is not None:
+        total = np.sqrt(sum(float((g * g).sum()) for _, _, g in grads))
+        if total > clip_norm:
+            scale = clip_norm / total
+            for _, _, g in grads:
+                g *= scale
+    for p, ids, g in grads:
+        if ids is None:
+            p.data -= lr * g
+            p.grad[...] = 0.0
+        else:
+            p.data[ids] -= lr * g
+            p.row_grads.clear()
+    return lr
+
+
+class TestSgdInPlace:
+    """The in-place update against the allocating one it replaced."""
+
+    def params_with_grads(self, scale=1.0):
+        rng = RngState(8)
+        dense = [Parameter(rng.uniform(-1, 1, shape), name)
+                 for shape, name in (((7, 5), "w"), ((5,), "b"), ((), "gamma"))]
+        for p in dense:
+            p.grad[...] = scale * rng.uniform(-1, 1, p.shape)
+        table = Parameter(rng.uniform(-1, 1, (30, 4)), "emb", row_sparse=True)
+        ids = np.array([[3, 17, 3], [9, 17, 0]])
+        w = Tensor(scale * rng.uniform(-1, 1, ids.shape + (4,)))
+        nm.tsum(nm.mul(nm.gather(table, ids), w)).backward()
+        return dense + [table]
+
+    @pytest.mark.parametrize("clip_norm", [None, 5.0, 0.1])
+    def test_bit_identical_to_allocating_update(self, clip_norm):
+        new, old = self.params_with_grads(), self.params_with_grads()
+        table_before = new[-1].data.copy()
+        touched = np.zeros(len(table_before), dtype=bool)
+        touched[new[-1].grad_rows()[0]] = True
+        lr = sgd_step(new, 0.5, 0.05, 2, clip_norm=clip_norm)
+        assert lr == sgd_step_allocating(old, 0.5, 0.05, 2, clip_norm=clip_norm)
+        for a, b in zip(new, old):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert new[-1].data[~touched].tobytes() == table_before[~touched].tobytes()
+        assert not np.array_equal(new[-1].data[touched], table_before[touched])
+        for p in new[:-1]:
+            assert not p.grad.any()
+        assert new[-1].row_grads == []
+
+    @pytest.mark.parametrize("clip_norm", [None, 5.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_names_parameter_before_any_update(self, clip_norm, bad):
+        params = self.params_with_grads()
+        params[1].grad[2] = bad
+        before = [p.data.copy() for p in params]
+        with pytest.raises(NumericError, match="'b'"):
+            sgd_step(params, 0.5, 0.0, 0, clip_norm=clip_norm)
+        for p, data in zip(params, before):
+            assert p.data.tobytes() == data.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_of_finite_gradients_is_not_an_error(self):
+        new, old = self.params_with_grads(1e200), self.params_with_grads(1e200)
+        sgd_step(new, 0.5, 0.0, 0, clip_norm=5.0)
+        sgd_step_allocating(old, 0.5, 0.0, 0, clip_norm=5.0)
+        for a, b in zip(new, old):
+            assert a.data.tobytes() == b.data.tobytes()
+
+
 class TestRowSparse:
     """Embedding tables keep (ids, rows) gradients; every row must match the
     dense scatter-add bit for bit."""
