@@ -6,7 +6,8 @@ import os
 import sys
 
 from .corpus import build_vocab, parse_conll, corpus_stats, render_stats
-from .embeddings import load_pretrained, load_contextual_store, random_embeddings
+from .embeddings import (load_contextual_store, load_pretrained, not_utf8,
+                         random_embeddings)
 from .evaluation import f1_score, read_scored_file, render_conlleval
 from .mtl import ModelSpec, build_model, load_checkpoint
 from .selftest import FIXTURES, crf_exactness_suite, gradcheck_suite, run_fixture
@@ -155,8 +156,11 @@ def cmd_train(args):
 
     pretrained = None
     if args.embeddings:
-        with open(args.embeddings, encoding="utf-8") as fh:
-            pretrained = [line.split(" ", 1)[0] for line in fh if line.strip()]
+        try:
+            with open(args.embeddings, encoding="utf-8") as fh:
+                pretrained = [line.split(" ", 1)[0] for line in fh if line.strip()]
+        except UnicodeDecodeError:
+            raise CliError(not_utf8(args.embeddings)) from None
     vocab = build_vocab(corpora, pretrained_words=pretrained,
                         min_freq=cfg["min_freq"], lm_vocab_size=cfg["lm_vocab_size"])
     if args.embeddings:

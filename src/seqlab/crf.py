@@ -217,15 +217,19 @@ def viterbi_decode(h, layer):
     """Best label sequence of every sentence in a (B, T, d) batch of hidden
     states; ties break toward the lower label id at each step.
 
-    Each step's scores are laid out (rows, L_to, L_from), the transpose of
-    `_step_scores`, so that max and argmax reduce over the contiguous last
-    axis (numpy's argmax over any other axis copies the whole block into a
-    freshly allocated array). Each step makes three passes over the buffer:
-    two adds and the argmax. `delta` is gathered from the argmax, not taken
-    by a fourth `max` pass; that is the same value, as the max is the
-    element at the first argmax. The batch is decoded in groups of rows
-    whose step buffer fits STEP_BUFFER_ELEMS, so those passes stay in a
-    core's own cache whatever B is.
+    A step's scores x[r, j, i] = delta[r, i] + trans[i, j] are laid out
+    (rows, L_to, L_from), so that argmax reduces over the contiguous last
+    axis (numpy's argmax over any other axis copies the whole block). The
+    emission is added after the max, delta'[r, j] = x[r, j, a] + e[r, t, j]
+    at the first argmax a, so a step makes two passes over the buffer (the
+    add and the argmax), not three. As x -> fl(x + e_j) never decreases,
+    that is bitwise the max of (delta_i + trans[i, j]) + e_j, and every
+    delta and score is what adding the emission first gives. Only the first
+    argmax can differ, toward a lower label id, where rounding makes a
+    smaller x_i + e_j equal to the max; `_repair_ties` puts the backtracked
+    paths right. The batch is decoded in groups of rows whose step buffer
+    fits STEP_BUFFER_ELEMS, so those passes stay in a core's own cache
+    whatever B is.
     """
     e = emission_scores(h, layer)
     if e.ndim != 3:
@@ -234,7 +238,11 @@ def viterbi_decode(h, layer):
     trans = layer.transitions.data
     block_t = np.ascontiguousarray(trans[:L, :L].T)  # [j, i] = trans[i, j]
     back = np.empty((T, B, L), dtype=np.intp)
-    final = np.empty((B, L))
+    deltas = np.empty((T, B, L))
+    deltas[0] = trans[layer.start, :L] + e[:, 0]
+    # -inf + inf is NaN, which the max of x cannot see: at a +inf emission
+    # the step takes its value from the whole column instead
+    posinf = np.isposinf(e).any(axis=(0, 2)).tolist()
     group = max(1, STEP_BUFFER_ELEMS // (L * L))
     buf = np.empty((min(group, B), L, L))
     flat = buf.reshape(-1)
@@ -243,20 +251,51 @@ def viterbi_decode(h, layer):
     for lo in range(0, B, group):
         part = slice(lo, lo + group)
         n = min(group, B - lo)
-        scores = buf[:n]
-        delta = trans[layer.start, :L] + e[part, 0]
+        x = buf[:n]
         for t in range(1, T):
-            np.add(delta[:, None, :], block_t, out=scores)
-            scores += e[part, t, :, None]
-            scores.argmax(axis=2, out=back[t, part])  # first max = lowest label id
-            delta = flat[offsets[:n] + back[t, part]]
-        final[part] = delta + trans[:L, layer.stop]
+            np.add(deltas[t - 1, part, None, :], block_t, out=x)
+            x.argmax(axis=2, out=back[t, part])  # first max = lowest label id
+            np.add(flat[offsets[:n] + back[t, part]], e[part, t], out=deltas[t, part])
+            if posinf[t]:
+                r, j = np.nonzero(np.isposinf(e[part, t]))
+                col = x[r, j] + e[lo + r, t, j][:, None]
+                deltas[t, lo + r, j] = col[np.arange(r.size), col.argmax(axis=1)]
+    final = deltas[-1] + trans[:L, layer.stop]
     rows = np.arange(B)
     labels = np.empty((B, T), dtype=np.int64)
     labels[:, -1] = final.argmax(axis=1)
     for t in range(T - 1, 0, -1):
         labels[:, t - 1] = back[t, rows, labels[:, t]]
+    _repair_ties(labels, deltas, back, e, block_t)
     return PathScore(labels, final[rows, labels[:, -1]])
+
+
+def _repair_ties(labels, deltas, back, e, block_t):
+    """Give every step of the backtracked (B, T) `labels` the first argmax of
+    its whole column, (deltas[t-1, r, i] + trans[i, j]) + e[r, t, j] for the
+    label j at step t: the label that adding the emission before the max
+    picks. All steps of all paths are checked in one pass. A row whose
+    highest differing label is at k takes the column's label there and is
+    walked again along `back` below k; then all rows are checked again,
+    until no step differs.
+    """
+    B, T = labels.shape
+    rows, steps = np.arange(B), np.arange(1, T)[:, None]
+    while True:
+        nxt = labels[:, 1:].T                 # (T-1, B): the label j at step t
+        cols = block_t[nxt]                   # (T-1, B, L): trans[i, j]
+        cols += deltas[:-1]                   # delta_i + trans[i, j], bitwise
+        cols += e[rows, steps, nxt][:, :, None]
+        best = cols.argmax(axis=2).T          # (B, T-1): the label at step t-1
+        wrong = best != labels[:, :-1]
+        hit = np.flatnonzero(wrong.any(axis=1))
+        if not hit.size:
+            return
+        k = T - 2 - wrong[hit, ::-1].argmax(axis=1)  # highest differing label
+        labels[hit, k] = best[hit, k]
+        for t in range(k.max(), 0, -1):
+            r = hit[k >= t]
+            labels[r, t - 1] = back[t, r, labels[r, t]]
 
 
 def brute_force(h, layer):

@@ -27,6 +27,19 @@ def sentence_key(tokens):
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
+def not_utf8(path):
+    """Message naming the first line of `path` that is not UTF-8. The file
+    is read again as bytes, so only the error path pays for the search."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return "%s: line %d is not UTF-8 (byte 0x%02x)" % (path, lineno,
+                                                                 line[e.start])
+    return "%s is not UTF-8" % path
+
+
 class EmbeddingMatrix:
     """|vocab| x d word-embedding table; row 0 (PAD) is pinned to zero."""
 
@@ -56,7 +69,10 @@ def load_pretrained(path, vocab, seed=0):
     lineno = 0
     with open(path, encoding="utf-8") as fh:
         while True:
-            lines = list(itertools.islice(fh, BLOCK_LINES))
+            try:
+                lines = list(itertools.islice(fh, BLOCK_LINES))
+            except UnicodeDecodeError:
+                raise EmbeddingError(not_utf8(path)) from None
             if not lines:
                 break
             keys, kept, linenos, mismatch = [], [], [], None
@@ -243,7 +259,10 @@ def load_contextual_store(path):
         if head == _MAGIC:
             return _load_binary(fh)
     with open(path, encoding="utf-8") as fh:
-        return _load_jsonl(fh)
+        try:
+            return _load_jsonl(fh)
+        except UnicodeDecodeError:
+            raise EmbeddingError(not_utf8(path)) from None
 
 
 def _load_binary(fh):

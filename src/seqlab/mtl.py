@@ -264,16 +264,20 @@ def save_checkpoint(model, directory):
 
     The vocabulary is serialized once: the manifest embeds the same text
     that `vocab_sha256` hashes. The manifest is `json.dumps(..., sort_keys=True)`
-    of all its fields, assembled key by key.
+    of all its fields, assembled key by key. After the parameters come the
+    tensors of `_frozen_tensors`, each recorded with `"frozen": true`.
     """
     os.makedirs(directory, exist_ok=True)
     params = model.parameters()
+    frozen = _frozen_tensors(model)
     vocab_text = vocab_json(model.vocab)
     manifest = {
         "format": "seqlab-checkpoint-v1",
         "spec": asdict(model.spec),
         "vocab_sha256": _sha256(vocab_text),
-        "params": [{"name": p.name, "shape": list(p.shape)} for p in params],
+        "params": ([{"name": p.name, "shape": list(p.shape)} for p in params]
+                   + [{"name": p.name, "shape": list(p.shape), "frozen": True}
+                      for p in frozen]),
     }
     encoded = {key: json.dumps(value, sort_keys=True) for key, value in manifest.items()}
     encoded["vocab"] = vocab_text
@@ -281,7 +285,7 @@ def save_checkpoint(model, directory):
                               for key in sorted(encoded))
     for name, chunks in (("manifest.json", [text.encode()]),
                          ("params.bin", (np.ascontiguousarray(p.data, dtype="<f8")
-                                         for p in params))):
+                                         for p in params + frozen))):
         tmp = os.path.join(directory, name + ".tmp")
         with open(tmp, "wb") as fh:
             for chunk in chunks:
@@ -298,10 +302,17 @@ def _fits(value, field):
     return type(value) is field.type or (value is None and field.default is None)
 
 
+def _frozen_tensors(model):
+    """Tensors the forward pass reads that are not parameters: the word
+    table when it is frozen (a rebuilt model would draw it afresh)."""
+    return [] if model.word_repr.trainable_embeddings else [model.word_repr.word_emb]
+
+
 def _is_param_record(rec):
     return (isinstance(rec, dict) and isinstance(rec.get("name"), str)
             and isinstance(rec.get("shape"), list)
-            and all(type(n) is int and n >= 0 for n in rec["shape"]))
+            and all(type(n) is int and n >= 0 for n in rec["shape"])
+            and type(rec.get("frozen", False)) is bool)
 
 
 def load_checkpoint(directory, contextual_store=None):
@@ -310,7 +321,9 @@ def load_checkpoint(directory, contextual_store=None):
     The manifest's structure, the vocabulary hash, the size of params.bin and
     every parameter's name and shape are checked; a fault is a SpecError.
     params.bin is read straight into the parameters' arrays before the model
-    is built, so nothing is drawn for a parameter the checkpoint holds.
+    is built, so nothing is drawn for a parameter the checkpoint holds. A
+    checkpoint written before frozen tensors were saved holds none, and its
+    frozen word table is drawn as `build_model` draws it.
     """
     from .corpus import Vocabulary
 
@@ -358,11 +371,17 @@ def load_checkpoint(directory, contextual_store=None):
     except nm.NumericError as e:
         raise SpecError("checkpoint parameter mismatch: %s" % e) from None
     params = model.parameters()
-    if len(recorded) != len(params):
+    trained = [rec for rec in recorded if not rec.get("frozen")]
+    if len(trained) != len(params):
         raise SpecError("checkpoint has %d parameters, model has %d"
-                        % (len(recorded), len(params)))
-    for p, rec in zip(params, recorded):
+                        % (len(trained), len(params)))
+    for p, rec in zip(params, trained):
         if p.name != rec["name"]:
             raise SpecError("checkpoint parameter mismatch: %r where the model has %r"
                             % (rec["name"], p.name))
+    frozen = [rec["name"] for rec in recorded if rec.get("frozen")]
+    reads = [p.name for p in _frozen_tensors(model)]
+    if frozen and frozen != reads:
+        raise SpecError("checkpoint has frozen tensors %s, the model reads %s"
+                        % (frozen, reads))
     return model

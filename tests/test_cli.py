@@ -291,6 +291,35 @@ def test_malformed_contextual_record(run_dir, data_dir, tmp_path, capsys, record
     assert err.startswith("error: malformed record 0: ") and err.count("\n") == 1
 
 
+def _single_error(capsys, status):
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_non_utf8_vector_file_names_its_line(data_dir, tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes(b"the 0.1 0.2\nof 0.3 0.4\ncaf\xff 0.5 0.6\n")
+    status = main(["train", "--config", str(data_dir / "tiny.cfg"),
+                   "--train", str(data_dir / "train.conll"),
+                   "--dev", str(data_dir / "dev.conll"),
+                   "--embeddings", str(vectors), "--checkpoint-dir", str(tmp_path / "run")])
+    err = _single_error(capsys, status)
+    assert "%s: line 3 is not UTF-8 (byte 0xff)" % vectors in err
+
+
+def test_non_utf8_contextual_store_names_its_line(run_dir, data_dir, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    record = json.dumps({"key": "00", "layer_count": 1, "token_count": 1, "dim": 1,
+                         "values": [[[0.5]]]})
+    store.write_bytes(record.encode() + b"\n{\"key\": \"\xff\"}\n")
+    status = main(["evaluate", "--model", str(run_dir / "best"),
+                   "--test", str(data_dir / "dev.conll"), "--contextual", str(store)])
+    err = _single_error(capsys, status)
+    assert "%s: line 2 is not UTF-8 (byte 0xff)" % store in err
+
+
 class TestSelfVerification:
     def test_selftest_passes(self, capsys):
         assert main(["selftest", "--instances", "40"]) == 0

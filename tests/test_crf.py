@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from seqlab import crf
 from seqlab.crf import (
     CRFLayer,
     CrfError,
@@ -13,6 +17,7 @@ from seqlab.crf import (
     viterbi_decode,
 )
 from seqlab.numeric import RngState, Tensor, grad_check
+from tape_reference import viterbi_reference
 
 
 def make_layer(d_in, n_labels, seed=0, zero=False):
@@ -215,3 +220,97 @@ class TestExactness:
             bf_best_score = log_z_bf + max(dist.values())
             assert score == pytest.approx(bf_best_score, abs=1e-9)
             assert labels == best
+
+
+# Small integers scaled by powers of two, signed zeros, and the same values
+# moved by 2**-52 (one unit in the last place of 1.0). Sums of these round
+# onto each other often, which is when the first argmax of x + e differs
+# from the first argmax of x; emissions of 2 and more, up to about 1e3,
+# are what make such sums round.
+GRID = sorted({n * 2.0 ** k for n in range(-1, 2) for k in (-1, 0)})
+TIE_VALUES = GRID + [-0.0] + [v + d for v in GRID for d in (2 ** -52, -2 ** -52)]
+TIE_EMISSIONS = TIE_VALUES + [4.0 * v for v in GRID] + [1e3 + v for v in TIE_VALUES]
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def decode_cases(draw, emissions):
+    B, T, L = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    layer = make_layer(L, L, zero=True)
+    layer.transitions.data[...] = draw(hnp.arrays(np.float64, (L + 2, L + 2),
+                                                  elements=st.sampled_from(TIE_VALUES)))
+    e = draw(hnp.arrays(np.float64, (B, T, L), elements=st.sampled_from(emissions)))
+    return e, layer
+
+
+def decode_emissions(e, layer):
+    """`viterbi_decode` fed (B, T, L) emission scores as they are: the
+    projection h @ proj_w + proj_b cannot carry -0.0, inf or NaN through."""
+    with mock.patch.object(crf, "emission_scores", lambda h, _: h):
+        return viterbi_decode(e, layer)
+
+
+class TestViterbiOracle:
+    """`viterbi_decode` adds each emission after the max; the oracle adds it
+    to the whole step buffer before. Labels and score bits must agree."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(decode_cases(TIE_EMISSIONS))
+    def test_matches_reference_on_ties(self, case):
+        e, layer = case
+        got, want = decode_emissions(e, layer), viterbi_reference(e, layer)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.score.tobytes() == want.score.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(decode_cases(TIE_EMISSIONS + NON_FINITE * 20))
+    def test_matches_reference_on_non_finite(self, case):
+        # a NaN score may carry another NaN's bits
+        e, layer = case
+        got, want = decode_emissions(e, layer), viterbi_reference(e, layer)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(np.isnan(got.score), np.isnan(want.score))
+        finite = ~np.isnan(want.score)
+        assert got.score[finite].tobytes() == want.score[finite].tobytes()
+
+    def test_rounding_tie_is_repaired(self):
+        # 1.0 + 4.0 and (1.0 + 2**-52) + 4.0 both round to 5.0: the first max
+        # of x + e is label 0, while the first max of x is label 1
+        x = np.array([1.0, 1.0 + 2 ** -52])
+        assert x.argmax() == 1 and (x + 4.0).argmax() == 0
+        layer = make_layer(2, 2, zero=True)
+        e = np.array([[x, [4.0, 4.0]]])
+        got = decode_emissions(e, layer)
+        assert got.labels.tolist() == [[0, 0]] == viterbi_reference(e, layer).labels.tolist()
+        assert got.score.tolist() == [5.0]
+
+    def test_repair_walks_again_below_the_fixed_step(self):
+        # steps 1 and 2 each hold a rounding tie: the walk along the first
+        # max of x gives [1, 1, 0]; fixing step 1's label to 0 walks step 0
+        # again, to a label the next check fixes as well
+        layer = make_layer(2, 2, zero=True)
+        e = np.array([[[1.0, 1.0 + 2 ** -52], [4.0, 4.0 + 2 ** -50], [16.0, 16.0]],
+                      [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]])
+        got, want = decode_emissions(e, layer), viterbi_reference(e, layer)
+        assert got.labels.tolist() == want.labels.tolist() == [[0, 0, 0], [1, 0, 0]]
+        assert got.score.tobytes() == want.score.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_plus_inf_emission_after_minus_inf(self):
+        # -inf + inf is NaN in the oracle's column, while the max of x is
+        # finite: the step must take the column's NaN, not max(x) + inf
+        layer = make_layer(2, 2, zero=True)
+        e = np.array([[[0.0, 0.0], [np.inf, -np.inf], [0.0, np.inf], [0.0, 0.0]]])
+        got, want = decode_emissions(e, layer), viterbi_reference(e, layer)
+        assert got.labels.tolist() == want.labels.tolist() == [[0, 1, 1, 0]]
+        assert np.isnan(got.score[0]) and np.isnan(want.score[0])
+
+    def test_real_emissions_match_reference(self):
+        rng = RngState(19)
+        _, layer = random_instance(rng, T=9, L=7)
+        hs = rng.uniform(-2, 2, (5, 9, 4))
+        got = viterbi_decode(hs, layer)
+        want = viterbi_reference(crf.emission_scores(hs, layer), layer)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.score.tobytes() == want.score.tobytes()

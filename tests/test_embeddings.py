@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import struct
 from unittest import mock
 
@@ -86,6 +87,15 @@ class TestLoadPretrained:
         for block in (1, 2, 4096):
             with mock.patch.object(embeddings, "BLOCK_LINES", block):
                 with pytest.raises(EmbeddingError, match=r"^line 3: dimension 1, expected 2$"):
+                    load_pretrained(path, vocab_of(["a"]))
+
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 2\nb 1 2\n\nc 3 4\n\xe9t\xe9 5 6\nd 7 8\n")
+        message = "^%s: line 5 is not UTF-8 \\(byte 0xe9\\)$" % re.escape(str(path))
+        for block in (2, 4096):
+            with mock.patch.object(embeddings, "BLOCK_LINES", block):
+                with pytest.raises(EmbeddingError, match=message):
                     load_pretrained(path, vocab_of(["a"]))
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11"])

@@ -9,6 +9,7 @@ import pytest
 from seqlab import numeric as nm
 from seqlab.corpus import Vocabulary, encode_batch
 from seqlab.crf import viterbi_decode
+from seqlab.embeddings import EmbeddingMatrix
 from seqlab.mtl import (
     ModelSpec,
     SpecError,
@@ -285,6 +286,57 @@ class TestCheckpoint:
         assert "repr.word_emb" not in [p.name for p in loaded.parameters()]
         fresh = build_model(spec_for("single", embeddings_trainable=False), VOCAB)
         assert np.array_equal(loaded.word_repr.word_emb.data, fresh.word_repr.word_emb.data)
+
+    def pretrained_frozen_model(self):
+        spec = spec_for("single", embeddings_trainable=False)
+        table = np.random.default_rng(23).normal(0.0, 1.0, (VOCAB.n_words, spec.d_word))
+        return build_model(spec, VOCAB, embedding_matrix=EmbeddingMatrix(table))
+
+    def test_frozen_pretrained_table_survives_a_checkpoint(self, tmp_path, monkeypatch):
+        model = self.pretrained_frozen_model()
+        save_checkpoint(model, tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        assert manifest["params"][-1] == {"name": "repr.word_emb", "frozen": True,
+                                          "shape": list(model.word_repr.word_emb.shape)}
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random value")
+
+        monkeypatch.setattr(nm.RngState, "uniform", draw)
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        monkeypatch.undo()
+        assert "repr.word_emb" not in [p.name for p in loaded.parameters()]
+        assert not loaded.word_repr.word_emb.requires_grad
+        assert (loaded.word_repr.word_emb.data.tobytes()
+                == model.word_repr.word_emb.data.tobytes())
+        batch = batch_of(4)
+        assert np.array_equal(loaded.decode(batch, FINE), model.decode(batch, FINE))
+
+    def test_checkpoint_without_frozen_record_loads_as_before(self, tmp_path):
+        # the layout written before frozen tensors were saved: parameters only
+        model = self.pretrained_frozen_model()
+        save_checkpoint(model, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        table = manifest["params"].pop()
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True))
+        payload = (tmp_path / "ckpt" / "params.bin").read_bytes()
+        (tmp_path / "ckpt" / "params.bin").write_bytes(
+            payload[:len(payload) - 8 * int(np.prod(table["shape"]))])
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        fresh = build_model(spec_for("single", embeddings_trainable=False), VOCAB)
+        assert np.array_equal(loaded.word_repr.word_emb.data, fresh.word_repr.word_emb.data)
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_frozen_record_the_model_does_not_read(self, tmp_path):
+        save_checkpoint(self.pretrained_frozen_model(), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"][-1]["name"] = "repr.other_table"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SpecError, match="frozen tensors .*repr.other_table"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_manifest_bytes_as_written_before(self, tmp_path):
         # the vocabulary is serialized once per save; the manifest stays the
