@@ -60,19 +60,27 @@ def _coerce(key, raw):
         raise CliError("config key %r: %r is not a %s" % (key, raw, kind.__name__))
 
 
+def _read_text(path):
+    """The text of a UTF-8 file; a file that is not fails naming its first bad line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise CliError(not_utf8(path)) from None
+
+
 def parse_config_file(path):
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise CliError("%s:%d: expected 'key = value'" % (path, lineno))
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in CONFIG_SCHEMA:
-                raise CliError("%s:%d: unknown config key %r" % (path, lineno, key))
-            values[key] = _coerce(key, raw)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise CliError("%s:%d: expected 'key = value'" % (path, lineno))
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in CONFIG_SCHEMA:
+            raise CliError("%s:%d: unknown config key %r" % (path, lineno, key))
+        values[key] = _coerce(key, raw)
     return values
 
 
@@ -117,8 +125,7 @@ def spec_from_config(cfg, use_contextual=False):
 def _read_corpus(path, task, split, args, labels_optional=False):
     """Parse a column file. With `labels_optional`, a file whose first token
     line has no label column is read as unlabelled text."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     label_column = args.label_column
     if labels_optional:
         first = next((line.split() for line in text.splitlines()
@@ -187,8 +194,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     if args.scored:
-        with open(args.scored, encoding="utf-8") as fh:
-            gold, pred = read_scored_file(fh.read())
+        gold, pred = read_scored_file(_read_text(args.scored))
         print(render_conlleval(f1_score(gold, pred)))
         return 0
     if not (args.model and args.test):

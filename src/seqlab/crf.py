@@ -244,7 +244,10 @@ def viterbi_decode(h, layer):
     # the step takes its value from the whole column instead
     posinf = np.isposinf(e).any(axis=(0, 2)).tolist()
     group = max(1, STEP_BUFFER_ELEMS // (L * L))
-    buf = np.empty((min(group, B), L, L))
+    # one array holds the step buffer, then `_repair_ties`' columns, so that
+    # the check mostly reuses pages the recursion has already touched
+    work = np.empty(max(min(group, B) * L * L, min((T - 1) * B * L, STEP_BUFFER_ELEMS)))
+    buf = work[: min(group, B) * L * L].reshape(-1, L, L)
     flat = buf.reshape(-1)
     # flat index of element (r, j, 0) of the buffer; + back[t, r, j] is the max
     offsets = np.arange(buf.shape[0] * L).reshape(-1, L) * L
@@ -266,33 +269,44 @@ def viterbi_decode(h, layer):
     labels[:, -1] = final.argmax(axis=1)
     for t in range(T - 1, 0, -1):
         labels[:, t - 1] = back[t, rows, labels[:, t]]
-    _repair_ties(labels, deltas, back, e, block_t)
+    _repair_ties(labels, deltas, back, e, block_t, work[: work.size // L * L].reshape(-1, L))
     return PathScore(labels, final[rows, labels[:, -1]])
 
 
-def _repair_ties(labels, deltas, back, e, block_t):
+def _repair_ties(labels, deltas, back, e, block_t, cols):
     """Give every step of the backtracked (B, T) `labels` the first argmax of
     its whole column, (deltas[t-1, r, i] + trans[i, j]) + e[r, t, j] for the
     label j at step t: the label that adding the emission before the max
-    picks. All steps of all paths are checked in one pass. A row whose
-    highest differing label is at k takes the column's label there and is
-    walked again along `back` below k; then all rows are checked again,
-    until no step differs.
+    picks. All steps of all paths are checked in one pass, a chunk of
+    (step, row) pairs at a time in the (rows, L) buffer `cols`: fresh arrays
+    of the whole (T-1, B, L) check cost more in page faults than the check
+    itself. A row whose highest differing label is at k takes the column's
+    label there and is walked again along `back` below k; then all rows are
+    checked again, until no step differs.
     """
     B, T = labels.shape
+    L = cols.shape[1]
     rows, steps = np.arange(B), np.arange(1, T)[:, None]
+    prev = deltas[:-1].reshape(-1, L)         # row t * B + r: delta at step t
+    best = np.empty((T - 1) * B, dtype=np.intp)
     while True:
         nxt = labels[:, 1:].T                 # (T-1, B): the label j at step t
-        cols = block_t[nxt]                   # (T-1, B, L): trans[i, j]
-        cols += deltas[:-1]                   # delta_i + trans[i, j], bitwise
-        cols += e[rows, steps, nxt][:, :, None]
-        best = cols.argmax(axis=2).T          # (B, T-1): the label at step t-1
-        wrong = best != labels[:, :-1]
+        emit = e[rows, steps, nxt].reshape(-1)
+        nxt = nxt.reshape(-1)
+        for lo in range(0, nxt.size, len(cols)):
+            part = slice(lo, lo + len(cols))
+            x = cols[: emit[part].size]
+            np.take(block_t, nxt[part], axis=0, out=x, mode="clip")  # "raise" buffers x
+            x += prev[part]                   # delta_i + trans[i, j], bitwise
+            x += emit[part, None]
+            x.argmax(axis=1, out=best[part])
+        step_best = best.reshape(T - 1, B).T  # (B, T-1): the label at step t-1
+        wrong = step_best != labels[:, :-1]
         hit = np.flatnonzero(wrong.any(axis=1))
         if not hit.size:
             return
         k = T - 2 - wrong[hit, ::-1].argmax(axis=1)  # highest differing label
-        labels[hit, k] = best[hit, k]
+        labels[hit, k] = step_best[hit, k]
         for t in range(k.max(), 0, -1):
             r = hit[k >= t]
             labels[r, t - 1] = back[t, r, labels[r, t]]

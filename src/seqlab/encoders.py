@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric as nm
-from .numeric import Tensor, glorot_parameter, init_parameter
+from .numeric import glorot_parameter, init_parameter
 
 
 class EncoderError(ValueError):
@@ -44,32 +44,55 @@ class CharCNN:
         return [self.emb, self.filters, self.bias]
 
     def encode(self, char_ids):
-        """(N, max_word_len) char ids -> (N, n_filters) word vectors.
+        """(N, max_word_len) char ids -> (N, n_filters) word vectors, as one
+        tape node over (emb, filters, bias).
 
-        Words are padded on both sides with floor(window/2) PAD characters;
-        a 1-char word still yields one valid convolution position. Positions
-        past a word's own padded extent are masked out of the max-pool, so
-        extra trailing PAD columns cannot change the output.
+        A word with n non-PAD characters, padded with window // 2 PADs on
+        both sides, has max(n, 1) convolution positions, so trailing PAD
+        columns cannot change it. Only those positions are convolved, packed
+        word after word into M rows: per window offset k a (M, d_char) @
+        (d_char, F) product, summed in k order, plus the bias, tanh, and a max
+        over the word's rows. The backward routes each (word, filter)
+        gradient to the word's first argmax row.
         """
         char_ids = np.asarray(char_ids)
         n, length = char_ids.shape
-        lengths = np.maximum((char_ids != 0).sum(axis=1), 1)
+        lengths = np.maximum(np.count_nonzero(char_ids, axis=1), 1)
+        starts = np.cumsum(lengths) - lengths
         half = self.window // 2
-        padded = np.zeros((n, length + 2 * half), dtype=np.int64)
+        padded = np.zeros((n, length + 2 * half), dtype=np.intp)
         padded[:, half : half + length] = char_ids
-        x = nm.gather(self.emb, padded)  # (N, P+2h, d_char)
-        positions = length + 2 * half - self.window + 1
-        conv = None
-        for k in range(self.window):
-            piece = x[:, k : k + positions, :]
-            flat = nm.matmul(piece.reshape(n * positions, self.d_char), self.filters[k])
-            term = flat.reshape(n, positions, self.n_filters)
-            conv = term if conv is None else nm.add(conv, term)
-        conv = nm.tanh(nm.add(conv, self.bias))
-        valid = (np.arange(positions)[None, :] < lengths[:, None]).astype(float)
-        mask = valid[:, :, None]
-        conv = nm.add(nm.mul(conv, Tensor(mask)), Tensor((1.0 - mask) * -1e4))
-        return nm.tmax(conv, axis=1)
+        # packed row m is position p of word w; its window's ids at k are
+        # padded[w, p + k], found in the flattened array
+        word = np.repeat(np.arange(n), lengths)
+        first = word * padded.shape[1] + np.arange(word.size) - starts[word]
+        ids = padded.reshape(-1)[first + np.arange(self.window)[:, None]]  # (window, M)
+        emb, filters, bias = self.emb, self.filters, self.bias
+        rows = emb.data[ids]  # (window, M, d_char)
+        act = rows[0] @ filters.data[0]
+        for k in range(1, self.window):
+            act += rows[k] @ filters.data[k]
+        act += bias.data
+        np.tanh(act, out=act)
+        out = np.maximum.reduceat(act, starts, axis=0)
+
+        def backward(g):
+            # first argmax row of each (word, filter); a NaN is the max of
+            # its word, as argmax has it
+            hit = (act == out[word]) | np.isnan(act)
+            arg = np.minimum.reduceat(np.where(hit, np.arange(word.size)[:, None], word.size),
+                                      starts, axis=0)
+            d = np.zeros_like(act)
+            np.put_along_axis(d, arg, g * (1.0 - out * out), axis=0)
+            if bias.requires_grad:
+                bias.accumulate(d.sum(axis=0))
+            if filters.requires_grad:
+                filters.accumulate(np.stack([rows[k].T @ d for k in range(self.window)]))
+            if emb.requires_grad:
+                emb.accumulate_rows(ids.reshape(-1), np.concatenate(
+                    [d @ filters.data[k].T for k in range(self.window)]))
+
+        return nm.make_node(out, (emb, filters, bias), backward)
 
 
 class BLSTM:

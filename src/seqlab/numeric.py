@@ -24,12 +24,8 @@ __all__ = [
     "matmul",
     "concat",
     "stack",
-    "tanh",
-    "sigmoid",
     "exp",
-    "log",
     "tsum",
-    "tmax",
     "logsumexp",
     "lstm_direction",
     "learning_rate",
@@ -214,14 +210,18 @@ def _coalesce(pairs, shape):
 
     Every row is summed from zero in the order the pairs and their rows come,
     which is the order a dense `np.add.at` scatter of the same pairs adds
-    them in, so both give bit-identical rows.
+    them in, so both give bit-identical rows. `np.bincount` sums each bin
+    that way, and faster than `np.add.at` into the unique rows.
     """
     if not pairs:
         return np.zeros(0, dtype=np.intp), np.zeros((0,) + shape[1:])
     ids, inverse = np.unique(np.concatenate([i for i, _ in pairs]), return_inverse=True)
-    rows = np.zeros((ids.size,) + shape[1:])
-    np.add.at(rows, inverse, np.concatenate([r for _, r in pairs]))
-    return ids, rows
+    width = int(np.prod(shape[1:]))
+    # element e of input row k goes to bin inverse[k] * width + e
+    bins = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    rows = np.bincount(bins, np.concatenate([r for _, r in pairs]).reshape(-1),
+                       minlength=ids.size * width)
+    return ids, rows.reshape((ids.size,) + shape[1:])
 
 
 _grad_enabled = True
@@ -291,26 +291,6 @@ def matmul(a, b):
     return make_node(a.data @ b.data, (a, b), backward)
 
 
-def tanh(a):
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        a.accumulate(g * (1.0 - out_data * out_data))
-
-    return make_node(out_data, (a,), backward)
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        a.accumulate(g * out_data * (1.0 - out_data))
-
-    return make_node(out_data, (a,), backward)
-
-
 def exp(a):
     a = _as_tensor(a)
     out_data = np.exp(a.data)
@@ -319,15 +299,6 @@ def exp(a):
         a.accumulate(g * out_data)
 
     return make_node(out_data, (a,), backward)
-
-
-def log(a):
-    a = _as_tensor(a)
-
-    def backward(g):
-        a.accumulate(g / a.data)
-
-    return make_node(np.log(a.data), (a,), backward)
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -339,21 +310,6 @@ def tsum(a, axis=None, keepdims=False):
         a.accumulate(np.broadcast_to(g, a.shape).copy())
 
     return make_node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def tmax(a, axis):
-    """Max along one axis; gradient routed to the first argmax."""
-    a = _as_tensor(a)
-    idx = np.argmax(a.data, axis=axis)
-    out_data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
-    out_data = np.squeeze(out_data, axis=axis)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        a.accumulate(full)
-
-    return make_node(out_data, (a,), backward)
 
 
 def logsumexp(a, axis):
@@ -455,8 +411,9 @@ def lstm_direction(x, wx, wh, b, reverse=False):
     (B, T, H) hidden states. The forward caches every step's gate
     activations (none under `no_grad`); the backward is hand-written BPTT
     that performs the same floating-point operations in the same order as
-    the per-step graph of `add`/`matmul`/`sigmoid`/`tanh`/`mul` nodes it
-    replaces, so both give bit-identical gradients.
+    the per-step graph of add/matmul/sigmoid/tanh/mul nodes it replaces
+    (kept in `tests/tape_reference.py`), so both give bit-identical
+    gradients.
     """
     x, wx, wh, b = (_as_tensor(t) for t in (x, wx, wh, b))
     B, T, d = x.shape

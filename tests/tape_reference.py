@@ -2,15 +2,56 @@
 
 Each function builds the per-step graph of elementary `numeric` ops that a
 fused primitive replaces. Tests compare the fused node's outputs and
-gradients against these. `viterbi_reference` is the decoder that adds each
-emission before the max, kept as the oracle of `crf.viterbi_decode`.
+gradients against these. The elementwise ops that only these graphs use
+(`tanh`, `sigmoid`, `log`, `tmax`) live here too. `viterbi_reference` is the
+decoder that adds each emission before the max, kept as the oracle of
+`crf.viterbi_decode`.
 """
 
 import numpy as np
 
 from seqlab import numeric as nm
 from seqlab.crf import STEP_BUFFER_ELEMS, PathScore
-from seqlab.numeric import Tensor
+from seqlab.numeric import Tensor, make_node
+
+
+def tanh(a):
+    out_data = np.tanh(a.data)
+
+    def backward(g):
+        a.accumulate(g * (1.0 - out_data * out_data))
+
+    return make_node(out_data, (a,), backward)
+
+
+def sigmoid(a):
+    out_data = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward(g):
+        a.accumulate(g * out_data * (1.0 - out_data))
+
+    return make_node(out_data, (a,), backward)
+
+
+def log(a):
+    def backward(g):
+        a.accumulate(g / a.data)
+
+    return make_node(np.log(a.data), (a,), backward)
+
+
+def tmax(a, axis):
+    """Max along one axis; gradient routed to the first argmax."""
+    idx = np.argmax(a.data, axis=axis)
+    out_data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
+    out_data = np.squeeze(out_data, axis=axis)
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
+        a.accumulate(full)
+
+    return make_node(out_data, (a,), backward)
 
 
 def lstm_direction(x, wx, wh, b, reverse=False):
@@ -24,12 +65,12 @@ def lstm_direction(x, wx, wh, b, reverse=False):
     outputs = [None] * T
     for t in steps:
         gates = nm.add(xw[:, t, :], nm.matmul(h, wh))
-        i = nm.sigmoid(gates[:, 0 * H : 1 * H])
-        f = nm.sigmoid(gates[:, 1 * H : 2 * H])
-        g = nm.tanh(gates[:, 2 * H : 3 * H])
-        o = nm.sigmoid(gates[:, 3 * H : 4 * H])
+        i = sigmoid(gates[:, 0 * H : 1 * H])
+        f = sigmoid(gates[:, 1 * H : 2 * H])
+        g = tanh(gates[:, 2 * H : 3 * H])
+        o = sigmoid(gates[:, 3 * H : 4 * H])
         c = nm.add(nm.mul(f, c), nm.mul(i, g))
-        h = nm.mul(o, nm.tanh(c))
+        h = nm.mul(o, tanh(c))
         outputs[t] = h
     return nm.stack(outputs, axis=1)  # (B, T, H)
 
@@ -59,6 +100,57 @@ def lm_direction_loss(states, w, b, targets):
     picked = nm.gather_nd(logits, np.arange(B * T), targets.reshape(-1))
     nll = nm.add(lse, nm.mul(picked, -1.0)).reshape(B, T)
     return nm.mul(nm.tsum(nll), 1.0 / B)
+
+
+def char_cnn_reference(cnn, char_ids):
+    """`CharCNN.encode` as gather/slice/matmul/add/tanh/tmax nodes over every
+    padded position, with invalid positions masked to -1e4 before the max."""
+    char_ids = np.asarray(char_ids)
+    n, length = char_ids.shape
+    lengths = np.maximum((char_ids != 0).sum(axis=1), 1)
+    half = cnn.window // 2
+    padded = np.zeros((n, length + 2 * half), dtype=np.int64)
+    padded[:, half : half + length] = char_ids
+    x = nm.gather(cnn.emb, padded)  # (N, P+2h, d_char)
+    positions = length + 2 * half - cnn.window + 1
+    conv = None
+    for k in range(cnn.window):
+        piece = x[:, k : k + positions, :]
+        flat = nm.matmul(piece.reshape(n * positions, cnn.d_char), cnn.filters[k])
+        term = flat.reshape(n, positions, cnn.n_filters)
+        conv = term if conv is None else nm.add(conv, term)
+    conv = tanh(nm.add(conv, cnn.bias))
+    valid = (np.arange(positions)[None, :] < lengths[:, None]).astype(float)
+    mask = valid[:, :, None]
+    conv = nm.add(nm.mul(conv, Tensor(mask)), Tensor((1.0 - mask) * -1e4))
+    return tmax(conv, axis=1)
+
+
+def char_cnn_packed_reference(cnn, char_ids):
+    """`CharCNN.encode` as per-op nodes over the same packed rows as the
+    fused node: one gather of the (window, M) window ids, a matmul per
+    offset, add, tanh, and a tmax over each word's rows laid out by position
+    (-1e4 past its end)."""
+    char_ids = np.asarray(char_ids)
+    n, length = char_ids.shape
+    lengths = np.maximum((char_ids != 0).sum(axis=1), 1)
+    half = cnn.window // 2
+    padded = np.zeros((n, length + 2 * half), dtype=np.int64)
+    padded[:, half : half + length] = char_ids
+    word = np.repeat(np.arange(n), lengths)
+    pos = np.concatenate([np.arange(m) for m in lengths])
+    ids = np.stack([padded[word, pos + k] for k in range(cnn.window)])  # (window, M)
+    x = nm.gather(cnn.emb, ids)  # (window, M, d_char)
+    conv = None
+    for k in range(cnn.window):
+        term = nm.matmul(x[k], cnn.filters[k])
+        conv = term if conv is None else nm.add(conv, term)
+    conv = tanh(nm.add(conv, cnn.bias))  # (M, F)
+    # packed row of (word, position), or the -1e4 row M past the word's end
+    where = np.full((n, length), word.size)
+    where[word, pos] = np.arange(word.size)
+    rows = nm.concat([conv, Tensor(np.full((1, cnn.n_filters), -1e4))], axis=0)
+    return tmax(nm.gather(rows, where), axis=1)
 
 
 def viterbi_reference(e, layer):

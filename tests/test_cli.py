@@ -320,6 +320,28 @@ def test_non_utf8_contextual_store_names_its_line(run_dir, data_dir, tmp_path, c
     assert "%s: line 2 is not UTF-8 (byte 0xff)" % store in err
 
 
+@pytest.mark.parametrize("command", [
+    lambda bad, data: ["stats", "--data", bad],
+    lambda bad, data: ["train", "--config", str(data / "tiny.cfg"), "--train", bad,
+                       "--dev", str(data / "dev.conll")],
+    lambda bad, data: ["evaluate", "--scored", bad],
+], ids=["stats", "train", "evaluate-scored"])
+def test_non_utf8_corpus_names_its_line(command, data_dir, tmp_path, capsys):
+    bad = tmp_path / "corpus.conll"
+    bad.write_bytes(b"John B-PER B-PER\ncaf\xff O O\n")
+    err = _single_error(capsys, main(command(str(bad), data_dir)))
+    assert "%s: line 2 is not UTF-8 (byte 0xff)" % bad in err
+
+
+def test_non_utf8_config_names_its_line(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"epochs = 1\n# caf\xff\n")
+    status = main(["train", "--config", str(cfg), "--train", str(data_dir / "train.conll"),
+                   "--dev", str(data_dir / "dev.conll")])
+    err = _single_error(capsys, status)
+    assert "%s: line 2 is not UTF-8 (byte 0xff)" % cfg in err
+
+
 class TestSelfVerification:
     def test_selftest_passes(self, capsys):
         assert main(["selftest", "--instances", "40"]) == 0

@@ -45,6 +45,22 @@ class TestCharCNN:
 
         assert grad_check(loss, cnn.parameters()) < 1e-4
 
+    def test_grad_check_window_5_full_and_all_pad_rows(self):
+        cnn = CharCNN(7, 2, 5, 3, seed=3)
+        ids = np.array([[2, 3, 4, 5], [0, 0, 0, 0], [6, 1, 0, 0]])
+
+        def loss():
+            out = cnn.encode(ids)
+            return nm.tsum(nm.mul(out, out))
+
+        assert grad_check(loss, cnn.parameters()) < 1e-4
+
+    def test_all_pad_row_is_one_position_of_pads(self):
+        cnn = CharCNN(10, 4, 3, 5, seed=4)
+        out = cnn.encode(np.array([[3, 1], [0, 0]]))
+        expected = np.tanh(cnn.emb.data[0] @ cnn.filters.data.sum(axis=0) + cnn.bias.data)
+        assert np.allclose(out.data[1], expected, rtol=0, atol=1e-12)
+
 
 class TestBLSTM:
     def test_output_shape(self):

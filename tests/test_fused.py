@@ -6,7 +6,7 @@ import pytest
 import tape_reference
 from seqlab import lm, numeric as nm
 from seqlab.crf import CRFLayer, crf_log_z
-from seqlab.encoders import BLSTM
+from seqlab.encoders import BLSTM, CharCNN
 from seqlab.numeric import Parameter, RngState, Tensor
 
 
@@ -125,3 +125,98 @@ def test_crf_log_z_row_at_a_time_matches_whole_batch(B, T, L, monkeypatch):
         assert whole[0] == other[0]
         assert np.array_equal(whole[1], other[1])
         assert np.array_equal(whole[2], other[2])
+
+
+def char_cnn_run(fn, cnn, char_ids):
+    """Output bytes and (emb, filters, bias) gradients of sum(fn(...) * w)."""
+    for p in cnn.parameters():
+        p.zero_grad()
+    out = fn(cnn, char_ids)
+    weighted_sum_backward(out, RngState(4))
+    return out.data.tobytes(), [p.dense_grad().copy() for p in cnn.parameters()]
+
+
+def encode(cnn, char_ids):
+    return cnn.encode(char_ids)
+
+
+def random_words(rng, n, width, n_chars):
+    """(n, width) char ids: left-aligned words of 0 to `width` chars."""
+    ids = np.zeros((n, width), dtype=np.int64)
+    for i, m in enumerate(rng.integers(0, width + 1, n)):
+        ids[i, :m] = rng.integers(1, n_chars, m)
+    return ids
+
+
+CHAR_CASES = {
+    "one_char_word": (3, [[7]]),
+    "all_pad_row": (3, [[4, 9, 2], [0, 0, 0], [5, 0, 0]]),
+    "word_fills_every_column": (3, [[3, 8, 1, 6, 2], [2, 2, 0, 0, 0]]),
+    "n1": (3, [[5, 3, 11, 0]]),
+    "window_5": (5, [[5, 3, 11, 0, 0, 0], [1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 0],
+                     [9, 0, 0, 0, 0, 0]]),
+    "mixed": (3, None),
+}
+
+
+def make_char_case(name, n_filters):
+    window, ids = CHAR_CASES[name]
+    cnn = CharCNN(n_chars=13, d_char=30, window=window, n_filters=n_filters, seed=n_filters)
+    rng = RngState(n_filters + window)
+    cnn.bias.data[:] = rng.uniform(-1, 1, n_filters)
+    ids = random_words(rng, 40, 9, 13) if ids is None else np.array(ids)
+    return cnn, ids
+
+
+@pytest.mark.parametrize("name", sorted(CHAR_CASES))
+@pytest.mark.parametrize("n_filters", [30, 7, 50])
+def test_char_cnn_matches_packed_tape_exactly(name, n_filters):
+    cnn, ids = make_char_case(name, n_filters)
+    fused = char_cnn_run(encode, cnn, ids)
+    tape = char_cnn_run(tape_reference.char_cnn_packed_reference, cnn, ids)
+    assert fused[0] == tape[0]
+    for a, b in zip(fused[1], tape[1]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(CHAR_CASES))
+@pytest.mark.parametrize("n_filters", [30, 50, 100, 201])
+def test_char_cnn_matches_padded_tape(name, n_filters):
+    # The padded graph multiplies (N * P, d) rows where the fused node
+    # multiplies (M, d); at 30 filters the BLAS gives every row bitwise the
+    # same either way, at other widths only within rounding. Gradients sum
+    # the same terms in another order (padded positions add exact zeros).
+    cnn, ids = make_char_case(name, n_filters)
+    fused = char_cnn_run(encode, cnn, ids)
+    tape = char_cnn_run(tape_reference.char_cnn_reference, cnn, ids)
+    out_f, out_t = (np.frombuffer(o) for o in (fused[0], tape[0]))
+    if n_filters == 30:
+        assert fused[0] == tape[0]
+    assert np.allclose(out_f, out_t, rtol=0, atol=1e-12)
+    for a, b in zip(fused[1], tape[1]):
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_char_cnn_tie_routes_gradient_to_first_position():
+    # only the centre offset is non-zero, so the two positions of the word
+    # (2, 2) convolve the same char and tie exactly in every filter
+    cnn = CharCNN(n_chars=5, d_char=4, window=3, n_filters=6, seed=1)
+    cnn.filters.data[[0, 2]] = 0.0
+    ids = np.array([[2, 2]])
+    out, (_, fused, _) = char_cnn_run(encode, cnn, ids)
+    out = np.frombuffer(out)
+    g = RngState(4).uniform(0.5, 1.5, out.shape) * (1.0 - out * out)  # char_cnn_run's w
+    emb = cnn.emb.data
+    assert not np.array_equal(emb[0], emb[2])
+    # position 0's window is (PAD, 2, 2), position 1's is (2, 2, PAD)
+    assert np.array_equal(fused[0], np.outer(emb[0], g))
+    assert np.array_equal(fused[2], np.outer(emb[2], g))
+    assert np.array_equal(char_cnn_run(tape_reference.char_cnn_reference, cnn, ids)[1][1], fused)
+
+
+def test_char_cnn_is_one_node_and_keeps_nothing_under_no_grad():
+    cnn, ids = make_char_case("mixed", 30)
+    assert tape_size(cnn.encode(ids)) == 4  # the node, emb, filters and bias
+    with nm.no_grad():
+        out = cnn.encode(ids)
+    assert out._backward is None and out._parents == () and not out.requires_grad

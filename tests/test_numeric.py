@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tape_reference as ref
 from seqlab import numeric as nm
 from seqlab.numeric import (
     NumericError,
@@ -81,11 +82,11 @@ class TestGradCheck:
         x = Tensor(rng.uniform(-1, 1, (2, 3)))
 
         def loss():
-            h = nm.tanh(nm.add(nm.matmul(x, w), b))
-            s = nm.sigmoid(h)
+            h = ref.tanh(nm.add(nm.matmul(x, w), b))
+            s = ref.sigmoid(h)
             z = nm.logsumexp(s, axis=1)
-            m = nm.tmax(h, axis=1)
-            return nm.tsum(z) + nm.tsum(nm.mul(m, m))
+            m = ref.tmax(h, axis=1)
+            return nm.tsum(z) + nm.tsum(nm.mul(m, m)) + nm.tsum(ref.log(s))
 
         assert grad_check(loss, [w, b]) < 1e-6
 
@@ -329,6 +330,31 @@ class TestRowSparse:
             tracemalloc.stop()
         assert peak < table.data.nbytes / 10
         assert np.count_nonzero(table.data.any(axis=1)) == ids.size
+
+    # values whose sum depends on the order and on the start from +0.0
+    EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300,
+                      1e-300, -1e-300, 1.0, -1.0, 2.0 ** -52, -(2.0 ** -52)])
+    VALUES = (EDGES + np.array([[0], [1], [-1], [2], [-2]]) * 2.0 ** -52).reshape(-1)
+
+    @given(st.integers(1, 40), st.lists(st.integers(0, 12), min_size=1, max_size=3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_coalesce_sums_from_zero_in_order(self, d, sizes, seed):
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for n in sizes:
+            rows = np.where(rng.random((n, d)) < 0.3, rng.uniform(-1e3, 1e3, (n, d)),
+                            self.VALUES[rng.integers(0, self.VALUES.size, (n, d))])
+            pairs.append((rng.integers(0, 6, n), rows))
+        every = np.concatenate([i for i, _ in pairs])
+        expected = np.zeros((np.unique(every).size, d))
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            ids, rows = nm._coalesce(pairs, (6, d))
+            np.add.at(expected, np.searchsorted(np.unique(every), every),
+                      np.concatenate([r for _, r in pairs]))
+        assert ids.tolist() == np.unique(every).tolist()
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(rows), nan)
+        assert rows[~nan].tobytes() == expected[~nan].tobytes()
 
 
 class TestNoGrad:
