@@ -14,6 +14,9 @@ BRUTE_FORCE_GUARD = 10 ** 6
 # float64 elements (512 KiB) of the (rows, L, L) per-step buffer of the CRF
 # recursions, so that their passes over it stay in a core's own cache
 STEP_BUFFER_ELEMS = 2 ** 16
+# previous labels that Viterbi scores in full at each step of a label set
+# wider than twice this; a column any other label could win is scanned whole
+VITERBI_PREFIX = 16
 
 
 class CrfError(ValueError):
@@ -217,19 +220,19 @@ def viterbi_decode(h, layer):
     """Best label sequence of every sentence in a (B, T, d) batch of hidden
     states; ties break toward the lower label id at each step.
 
-    A step's scores x[r, j, i] = delta[r, i] + trans[i, j] are laid out
-    (rows, L_to, L_from), so that argmax reduces over the contiguous last
-    axis (numpy's argmax over any other axis copies the whole block). The
-    emission is added after the max, delta'[r, j] = x[r, j, a] + e[r, t, j]
-    at the first argmax a, so a step makes two passes over the buffer (the
-    add and the argmax), not three. As x -> fl(x + e_j) never decreases,
-    that is bitwise the max of (delta_i + trans[i, j]) + e_j, and every
-    delta and score is what adding the emission first gives. Only the first
-    argmax can differ, toward a lower label id, where rounding makes a
-    smaller x_i + e_j equal to the max; `_repair_ties` puts the backtracked
-    paths right. The batch is decoded in groups of rows whose step buffer
-    fits STEP_BUFFER_ELEMS, so those passes stay in a core's own cache
-    whatever B is.
+    Each step finds, for every row r and label j, the first argmax a over
+    previous labels i of x[r, i, j] = delta[r, i] + trans[i, j] and sets
+    delta'[r, j] = x[r, a, j] + e[r, t, j]: the emission is added after the
+    max. As x -> fl(x + e_j) never decreases, that is bitwise the max of
+    (delta_i + trans[i, j]) + e_j, and every delta and score is what adding
+    the emission first gives. Only the first argmax can differ, toward a
+    lower label id, where rounding makes a smaller x_i + e_j equal to the
+    max; `_repair_ties` puts the backtracked paths right. Label sets of up to
+    2 * VITERBI_PREFIX take `_dense_steps`, which scans all L x L scores;
+    wider ones take `_pruned_steps`, which scores each row's VITERBI_PREFIX
+    best previous labels and scans a whole column only where a left-out
+    label could reach its max. Both give bitwise the same labels, back
+    pointers, deltas and scores.
     """
     e = emission_scores(h, layer)
     if e.ndim != 3:
@@ -243,6 +246,28 @@ def viterbi_decode(h, layer):
     # -inf + inf is NaN, which the max of x cannot see: at a +inf emission
     # the step takes its value from the whole column instead
     posinf = np.isposinf(e).any(axis=(0, 2)).tolist()
+    steps = _pruned_steps if L > 2 * VITERBI_PREFIX else _dense_steps
+    cols = steps(deltas, back, e, block_t, posinf)
+    final = deltas[-1] + trans[:L, layer.stop]
+    rows = np.arange(B)
+    labels = np.empty((B, T), dtype=np.int64)
+    labels[:, -1] = final.argmax(axis=1)
+    for t in range(T - 1, 0, -1):
+        labels[:, t - 1] = back[t, rows, labels[:, t]]
+    _repair_ties(labels, deltas, back, e, block_t, cols)
+    return PathScore(labels, final[rows, labels[:, -1]])
+
+
+def _dense_steps(deltas, back, e, block_t, posinf):
+    """Fill deltas[1:] and back[1:] with the scores x[r, j, i] = delta[r, i]
+    + trans[i, j] laid out (rows, L_to, L_from), so that argmax reduces over
+    the contiguous last axis (numpy's argmax over any other axis copies the
+    whole block): two passes over the buffer per step, the add and the
+    argmax. The batch is decoded in groups of rows whose step buffer fits
+    STEP_BUFFER_ELEMS, so those passes stay in a core's own cache whatever
+    B is. `posinf[t]` says whether some emission at step t is +inf.
+    Returns the (rows, L) columns buffer for `_repair_ties`."""
+    T, B, L = deltas.shape
     group = max(1, STEP_BUFFER_ELEMS // (L * L))
     # one array holds the step buffer, then `_repair_ties`' columns, so that
     # the check mostly reuses pages the recursion has already touched
@@ -263,14 +288,84 @@ def viterbi_decode(h, layer):
                 r, j = np.nonzero(np.isposinf(e[part, t]))
                 col = x[r, j] + e[lo + r, t, j][:, None]
                 deltas[t, lo + r, j] = col[np.arange(r.size), col.argmax(axis=1)]
-    final = deltas[-1] + trans[:L, layer.stop]
-    rows = np.arange(B)
-    labels = np.empty((B, T), dtype=np.int64)
-    labels[:, -1] = final.argmax(axis=1)
-    for t in range(T - 1, 0, -1):
-        labels[:, t - 1] = back[t, rows, labels[:, t]]
-    _repair_ties(labels, deltas, back, e, block_t, work[: work.size // L * L].reshape(-1, L))
-    return PathScore(labels, final[rows, labels[:, -1]])
+    return work[: work.size // L * L].reshape(-1, L)
+
+
+def _pruned_steps(deltas, back, e, block_t, posinf):
+    """Fill deltas[1:] and back[1:] as `_dense_steps` does, scoring only each
+    row's K = VITERBI_PREFIX best previous labels P (in ascending label
+    order): x[r, k, j] = delta[r, P_k] + trans[P_k, j], whose first column
+    max at k = a gives back = P_a and delta' = x[r, a, j] + e[r, t, j].
+
+    Let d_K be the row's (K+1)-th largest delta and tmax_j = max_i trans[i, j].
+    Rounded addition never decreases, so every left-out label has
+    fl(delta_i + trans[i, j]) <= fl(d_K + tmax_j); where that bound is below
+    x[r, a, j], no left-out label can win or tie and column j is settled.
+    Every other column is scanned whole, as `_dense_steps` does, and so is
+    every column of a row with a non-finite delta, every column when a
+    transition is not finite, and every column whose emission is +inf. The
+    scan runs in chunks of STEP_BUFFER_ELEMS, in one array that then holds
+    the columns `_repair_ties` checks, which it returns.
+    """
+    T, B, L = deltas.shape
+    K = VITERBI_PREFIX
+    block = np.ascontiguousarray(block_t.T)  # np.take copies a strided array
+    exact = np.isfinite(block).all()
+    tmax = block.max(axis=0)
+    group = max(1, min(B, STEP_BUFFER_ELEMS // (K * L)))
+    buf = np.empty((group, K, L))
+    flat = buf.reshape(-1)
+    # flat index of element (r, 0, j) of the buffer; + a * L is the winner
+    offsets = np.arange(group)[:, None] * (K * L) + np.arange(L)
+    prefix_rows, delta_rows = np.arange(group)[:, None] * K, np.arange(group)[:, None] * L
+    # weight K-1-k at prefix position k: the largest weight on a column's
+    # maxima marks its first (max over the middle axis runs row by row, where
+    # argmax would copy the buffer)
+    first = np.arange(K - 1, -1, -1, dtype=np.min_scalar_type(K - 1))[:, None]
+    hits = np.empty((group, K, L), dtype=first.dtype)
+    work = np.empty((max(2, STEP_BUFFER_ELEMS // L), L))
+    half = len(work) // 2
+    scan_x, scan_d = work[:half], work[half: 2 * half]
+    for lo in range(0, B, group):
+        part = slice(lo, lo + group)
+        n = min(group, B - lo)
+        x = buf[:n]
+        for t in range(1, T):
+            d = deltas[t - 1, part]
+            order = np.argpartition(d, L - K - 1, axis=1)
+            prefix = np.sort(order[:, L - K:], axis=1)  # the K largest, by label id
+            d_k = d[np.arange(n), order[:, L - K - 1]]
+            np.take(block, prefix, axis=0, out=x, mode="clip")  # "raise" buffers x
+            np.add(d.reshape(-1)[delta_rows[:n] + prefix][:, :, None], x, out=x)
+            np.multiply(x == x.max(axis=1)[:, None, :], first, out=hits[:n])
+            a = (K - 1) - hits[:n].max(axis=1).astype(np.intp)  # K - 1 if none (NaN)
+            # the element itself, not x.max: max(+0.0, -0.0) may be -0.0
+            top = flat.take(offsets[:n] + a * L)
+            np.take(prefix, prefix_rows[:n] + a, out=back[t, part])
+            np.add(top, e[part, t], out=deltas[t, part])
+            redo = np.add(d_k[:, None], tmax) >= top
+            redo[~(exact & np.isfinite(d).all(axis=1))] = True
+            if posinf[t]:
+                redo |= np.isposinf(e[part, t])
+            r, j = np.nonzero(redo)
+            r += lo
+            for c in range(0, r.size, half):
+                rc, jc = r[c: c + half], j[c: c + half]
+                xc, dc = scan_x[: rc.size], scan_d[: rc.size]
+                np.take(block_t, jc, axis=0, out=xc, mode="clip")
+                np.take(deltas[t - 1], rc, axis=0, out=dc, mode="clip")
+                np.add(dc, xc, out=xc)
+                best = xc.argmax(axis=1)  # first max = lowest label id
+                back[t, rc, jc] = best
+                emit = e[rc, t, jc]
+                col = np.arange(rc.size)
+                deltas[t, rc, jc] = xc[col, best] + emit
+                if posinf[t]:
+                    inf = np.flatnonzero(np.isposinf(emit))
+                    whole = xc[inf] + emit[inf, None]
+                    deltas[t, rc[inf], jc[inf]] = whole[np.arange(inf.size),
+                                                        whole.argmax(axis=1)]
+    return work
 
 
 def _repair_ties(labels, deltas, back, e, block_t, cols):

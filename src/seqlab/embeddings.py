@@ -223,9 +223,6 @@ class ContextualVectorStore:
             raise EmbeddingError("duplicate sentence key %r" % key)
         self._records[key] = values
 
-    def add_sentence(self, tokens, values):
-        self.add(sentence_key(tokens), values, token_count=len(tokens))
-
     def lookup(self, tokens):
         key = sentence_key(tokens)
         try:
@@ -237,19 +234,6 @@ class ContextualVectorStore:
 
 
 _MAGIC = b"SLCV"
-
-
-def save_contextual_store(store, path):
-    """Binary record format: key, counts, then float32 little-endian values."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        for key, values in store._records.items():
-            raw = bytes.fromhex(key)
-            fh.write(struct.pack("<B", len(raw)))
-            fh.write(raw)
-            L, T, d = values.shape
-            fh.write(struct.pack("<III", T, L, d))
-            fh.write(values.astype("<f4").tobytes())
 
 
 def load_contextual_store(path):

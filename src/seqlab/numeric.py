@@ -533,6 +533,9 @@ def sgd_step(params, base_lr, decay, epoch, clip_norm=5.0):
     already shows every entry is finite. A row-sparse parameter is checked,
     normed and updated on the rows its gradient touched only; its other rows
     have zero gradient and stay bitwise unchanged.
+
+    Returns (learning rate, global gradient norm before clipping); the norm
+    is None when clipping is off, which computes none.
     """
     grads = []
     squares = []
@@ -549,8 +552,9 @@ def sgd_step(params, base_lr, decay, epoch, clip_norm=5.0):
             raise NumericError("non-finite gradient in parameter %r" % p.name)
         grads.append((p, ids, g))
     lr = learning_rate(base_lr, decay, epoch)
+    total = None
     if clip_norm is not None:
-        total = np.sqrt(sum(squares))
+        total = float(np.sqrt(sum(squares)))
         if total > clip_norm:
             scale = clip_norm / total
             for _, _, g in grads:
@@ -563,7 +567,7 @@ def sgd_step(params, base_lr, decay, epoch, clip_norm=5.0):
         else:
             p.data[ids] -= g
             p.row_grads.clear()
-    return lr
+    return lr, total
 
 
 # -- random state -----------------------------------------------------------

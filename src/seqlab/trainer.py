@@ -105,6 +105,14 @@ def _write_history(history, directory):
     os.replace(tmp, os.path.join(directory, "history.jsonl"))
 
 
+def _norm_fields(norms, clip_norm):
+    """History fields of one epoch's gradient norms before clipping."""
+    if clip_norm is None or not norms:
+        return {"grad_norm_mean": None, "grad_norm_max": None, "clip_steps": None}
+    return {"grad_norm_mean": sum(norms) / len(norms), "grad_norm_max": max(norms),
+            "clip_steps": sum(n > clip_norm for n in norms)}
+
+
 def train(model, main_corpus, aux_corpus, dev_corpus, config):
     """Run the full training loop; returns the final TrainState.
 
@@ -113,8 +121,11 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
     limit or when patience is exhausted.
 
     Each history record holds the epoch's learning rate, the mean task loss
-    over the steps of each task (`main_loss`, `aux_loss`), `lm_loss`, and the
-    dev scores. `lm_loss` is the mean of lambda * (E_fwd + E_bwd) over every
+    over the steps of each task (`main_loss`, `aux_loss`), `lm_loss`, the
+    dev scores, and the global gradient norm before clipping over the
+    epoch's steps: `grad_norm_mean`, `grad_norm_max` and `clip_steps`, the
+    steps whose norm exceeded `clip_norm` (all three None when clipping is
+    off). `lm_loss` is the mean of lambda * (E_fwd + E_bwd) over every
     step in the schedule: when lm_mode is not `none`, every step of either
     task carries the LM term, so the schedule length is its step count.
     """
@@ -139,6 +150,7 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
         sums = {"main": 0.0, "auxiliary": 0.0, "lm": 0.0}
         counts = {"main": 0, "auxiliary": 0}
         lr = learning_rate(config.base_lr, config.decay, epoch)
+        norms = []
         for batch_index, (role, batch) in enumerate(schedule):
             result = model.forward_task(batch, task_names[role], mode="train",
                                         rng=rng_dropout)
@@ -149,8 +161,8 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
                     % (epoch, batch_index, role)
                 )
             result.loss.backward()
-            sgd_step(params, config.base_lr, config.decay, epoch,
-                     clip_norm=config.clip_norm)
+            norms.append(sgd_step(params, config.base_lr, config.decay, epoch,
+                                  clip_norm=config.clip_norm)[1])
             sums[role] += result.task_loss.item()
             counts[role] += 1
             if result.lm_fwd is not None:
@@ -174,6 +186,7 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
             "dev_r": report.recall,
             "dev_f1": report.f1,
             "checkpointed": checkpointed,
+            **_norm_fields(norms, config.clip_norm),
         })
         state.epoch = epoch + 1
         _write_history(state.history, config.checkpoint_dir)

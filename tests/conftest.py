@@ -5,8 +5,15 @@ import io
 import time
 
 import pytest
+from hypothesis import settings
 
 from seqlab.cli import main
+
+# `pytest --hypothesis-profile=deep`: 5x the examples of the default profile,
+# each property's count scaled alike (tests/test_crf.py `examples`), drawn
+# from a fixed seed so that a failure repeats
+settings.register_profile("deep", max_examples=5 * settings.default.max_examples,
+                          derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,10 @@ the coarse auxiliary label collapses every fine type to ENT. Also fixture
 writers and counters that only the tests use."""
 
 import json
+import struct
 
 from seqlab.corpus import Sentence, TaggedCorpus, build_vocab
+from seqlab.embeddings import _MAGIC, sentence_key
 from seqlab.numeric import RngState
 
 FINE = "fine"
@@ -97,3 +99,22 @@ def save_contextual_jsonl(store, path):
                 "dim": d,
                 "values": values.reshape(-1).tolist(),
             }) + "\n")
+
+
+def add_sentence(store, tokens, values):
+    """Add one sentence's (layers, tokens, dim) values to a contextual store."""
+    store.add(sentence_key(tokens), values, token_count=len(tokens))
+
+
+def save_contextual_store(store, path):
+    """Write a contextual store in the binary format `load_contextual_store`
+    reads: per record, the key, its counts, then float32 little-endian values."""
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        for key, values in store._records.items():
+            raw = bytes.fromhex(key)
+            fh.write(struct.pack("<B", len(raw)))
+            fh.write(raw)
+            L, T, d = values.shape
+            fh.write(struct.pack("<III", T, L, d))
+            fh.write(values.astype("<f4").tobytes())

@@ -250,11 +250,18 @@ def decode_emissions(e, layer):
         return viterbi_decode(e, layer)
 
 
+def examples(n):
+    """`n` Hypothesis examples under the default profile (100 examples), and
+    as many times more as the active profile asks for: CI's `deep` profile
+    (see conftest.py) runs 5x."""
+    return max(1, n * settings.default.max_examples // 100)
+
+
 class TestViterbiOracle:
     """`viterbi_decode` adds each emission after the max; the oracle adds it
     to the whole step buffer before. Labels and score bits must agree."""
 
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=examples(600), deadline=None)
     @given(decode_cases(TIE_EMISSIONS))
     def test_matches_reference_on_ties(self, case):
         e, layer = case
@@ -263,7 +270,7 @@ class TestViterbiOracle:
         assert got.score.tobytes() == want.score.tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(decode_cases(TIE_EMISSIONS + NON_FINITE * 20))
     def test_matches_reference_on_non_finite(self, case):
         # a NaN score may carry another NaN's bits
@@ -314,3 +321,119 @@ class TestViterbiOracle:
         want = viterbi_reference(crf.emission_scores(hs, layer), layer)
         assert np.array_equal(got.labels, want.labels)
         assert got.score.tobytes() == want.score.tobytes()
+
+
+# labels far above the rest, so that a short prefix settles most columns
+PEAKS = [8.0, 32.0] * 4
+
+
+@st.composite
+def pruned_cases(draw, non_finite):
+    """(B, T, L) emissions, a layer and a prefix length 1..L-1; with
+    `non_finite`, a few NaN and +-inf emissions and transitions, so that
+    finite and non-finite rows mix."""
+    B, T, L = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(3, 8))
+    prefix = draw(st.integers(1, L - 1))
+    layer = make_layer(L, L, zero=True)
+    trans = draw(hnp.arrays(np.float64, (L + 2, L + 2), elements=st.sampled_from(TIE_VALUES)))
+    e = draw(hnp.arrays(np.float64, (B, T, L), elements=st.sampled_from(TIE_EMISSIONS + PEAKS)))
+    if non_finite:
+        spots = st.sampled_from([0.0] * 10 + NON_FINITE)
+        e_spots = draw(hnp.arrays(np.float64, e.shape, elements=spots))
+        e = np.where(np.isfinite(e_spots), e, e_spots)
+        t_spots = draw(hnp.arrays(np.float64, trans.shape,
+                                  elements=st.sampled_from([0.0] * 60 + NON_FINITE)))
+        trans = np.where(np.isfinite(t_spots), trans, t_spots)
+    layer.transitions.data[...] = trans
+    return e, layer, prefix
+
+
+def decode_with(steps, e, layer, prefix):
+    """`decode_emissions` with every label set taking `steps` at a prefix of
+    `prefix` labels; also returns the deltas and back pointers it filled."""
+    filled = []
+
+    def spy(deltas, back, *rest):
+        cols = steps(deltas, back, *rest)
+        filled.append((deltas, back[1:]))  # back[0] is never written
+        return cols
+
+    with mock.patch.object(crf, "VITERBI_PREFIX", prefix), \
+            mock.patch.object(crf, "_pruned_steps", spy), \
+            mock.patch.object(crf, "_dense_steps", spy):
+        return decode_emissions(e, layer), filled[0]
+
+
+class TestPrunedViterbiOracle:
+    """The pruned step scores only each row's VITERBI_PREFIX best previous
+    labels and scans a whole column where a left-out label could reach its
+    max. Forced onto label sets of 3-8 at every prefix 1..L-1, its deltas and
+    back pointers must be bitwise the dense step's, and its labels and score
+    bits the oracle's."""
+
+    def check(self, e, layer, prefix):
+        got, (deltas, back) = decode_with(crf._pruned_steps, e, layer, prefix)
+        dense, (dense_deltas, dense_back) = decode_with(crf._dense_steps, e, layer, prefix)
+        assert deltas.tobytes() == dense_deltas.tobytes()
+        assert np.array_equal(back, dense_back)
+        assert got.score.tobytes() == dense.score.tobytes()
+        want = viterbi_reference(e, layer)
+        assert np.array_equal(got.labels, want.labels)
+        # a NaN score may carry another NaN's bits than the oracle's
+        assert np.array_equal(np.isnan(got.score), np.isnan(want.score))
+        finite = ~np.isnan(want.score)
+        assert got.score[finite].tobytes() == want.score[finite].tobytes()
+        return got, back
+
+    @settings(max_examples=examples(600), deadline=None)
+    @given(pruned_cases(non_finite=False))
+    def test_matches_dense_step_and_reference(self, case):
+        self.check(*case)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=examples(300), deadline=None)
+    @given(pruned_cases(non_finite=True))
+    def test_matches_on_non_finite(self, case):
+        self.check(*case)
+
+    def test_left_out_tie_on_the_bound_is_scanned(self):
+        # prefix {1}; left-out label 0 reaches 1.0 + 1.0 = 2.0, the bound
+        # d_K + tmax exactly, in every column: its lower id wins the tie
+        layer = make_layer(3, 3, zero=True)
+        layer.transitions.data[0, :3] = 1.0
+        e = np.array([[[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]])
+        got, back = self.check(e, layer, prefix=1)
+        assert back[0, 0].tolist() == [0, 0, 0]
+        assert got.labels.tolist() == [[0, 0]] and got.score.tolist() == [2.0]
+
+    def test_winner_value_keeps_its_zero_sign(self):
+        # x = [+0.0, -0.0] over the prefix {0, 1}: the first max is +0.0,
+        # while x.max(axis=1) may return -0.0, and -0.0 + -0.0 is -0.0
+        layer = make_layer(5, 5, zero=True)
+        layer.transitions.data[...] = -0.0
+        e = np.array([[[0.0, -0.0, -5.0, -5.0, -5.0], [-0.0] * 5]])
+        got, _ = self.check(e, layer, prefix=2)
+        assert got.score.tobytes() == np.array([0.0]).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_row_with_nan_delta_is_scanned(self):
+        # row 0's prefix {0, 2} holds the NaN: no x equals the NaN max, while
+        # the dense step's argmax takes the NaN at label 0; row 1 is finite
+        layer = make_layer(4, 4, zero=True)
+        e = np.array([[[np.nan, 0.0, 5.0, 1.0], [0.0] * 4],
+                      [[0.0, 1.0, 2.0, 3.0], [0.0] * 4]])
+        got, back = self.check(e, layer, prefix=2)
+        assert back[0, 0].tolist() == [0, 0, 0, 0]
+        assert np.isnan(got.score[0]) and got.score[1] == 3.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_plus_inf_emission_takes_the_whole_column(self):
+        # label 2's finite delta and transition into label 0 overflow to
+        # -inf, and -inf + inf is NaN: column 0 is settled by the bound, yet
+        # its +inf emission must take the whole column's NaN, not max(x) + inf
+        layer = make_layer(3, 3, zero=True)
+        layer.transitions.data[2, 0] = -1e308
+        e = np.array([[[1.0, 0.0, -1e308], [np.inf, 0.0, 0.0]]])
+        got, _ = self.check(e, layer, prefix=1)
+        assert np.isnan(got.score[0])

@@ -20,11 +20,10 @@ from seqlab.embeddings import (
     elmo_combine,
     load_contextual_store,
     load_pretrained,
-    save_contextual_store,
     sentence_key,
 )
 from seqlab.numeric import RngState, Tensor, grad_check
-from synthetic_data import save_contextual_jsonl
+from synthetic_data import add_sentence, save_contextual_jsonl, save_contextual_store
 
 
 def vocab_of(words):
@@ -275,7 +274,7 @@ class TestContextualStore:
     def test_shape_contract(self):
         store = ContextualVectorStore()
         tokens = ["a", "b", "c"]
-        store.add_sentence(tokens, np.zeros((2, 3, 4)))
+        add_sentence(store, tokens, np.zeros((2, 3, 4)))
         assert store.lookup(tokens).shape == (2, 3, 4)
 
     def test_missing_sentence_error_names_it(self):
@@ -285,27 +284,27 @@ class TestContextualStore:
 
     def test_duplicate_key_error(self):
         store = ContextualVectorStore()
-        store.add_sentence(["a"], np.zeros((1, 1, 2)))
+        add_sentence(store, ["a"], np.zeros((1, 1, 2)))
         with pytest.raises(EmbeddingError, match="duplicate"):
-            store.add_sentence(["a"], np.zeros((1, 1, 2)))
+            add_sentence(store, ["a"], np.zeros((1, 1, 2)))
 
     def test_inconsistent_dims_rejected(self):
         store = ContextualVectorStore()
-        store.add_sentence(["a"], np.zeros((2, 1, 4)))
+        add_sentence(store, ["a"], np.zeros((2, 1, 4)))
         with pytest.raises(EmbeddingError, match="inconsistent"):
-            store.add_sentence(["b"], np.zeros((3, 1, 4)))
+            add_sentence(store, ["b"], np.zeros((3, 1, 4)))
 
     def test_token_count_must_match_key(self):
         store = ContextualVectorStore()
         with pytest.raises(EmbeddingError, match="token count"):
-            store.add_sentence(["a", "b"], np.zeros((1, 3, 4)))
+            add_sentence(store, ["a", "b"], np.zeros((1, 3, 4)))
 
     @pytest.mark.parametrize("saver", [save_contextual_store, save_contextual_jsonl])
     def test_round_trip(self, tmp_path, saver):
         rng = RngState(4)
         store = ContextualVectorStore()
-        store.add_sentence(["New", "York"], rng.uniform(-1, 1, (2, 2, 3)).astype(np.float32))
-        store.add_sentence(["x"], rng.uniform(-1, 1, (2, 1, 3)).astype(np.float32))
+        add_sentence(store, ["New", "York"], rng.uniform(-1, 1, (2, 2, 3)).astype(np.float32))
+        add_sentence(store, ["x"], rng.uniform(-1, 1, (2, 1, 3)).astype(np.float32))
         path = tmp_path / "store.bin"
         saver(store, path)
         loaded = load_contextual_store(path)

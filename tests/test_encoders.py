@@ -6,6 +6,7 @@ from seqlab.corpus import build_vocab, encode_batch, parse_conll
 from seqlab.embeddings import ContextualVectorStore, ElmoWeights, random_embeddings
 from seqlab.encoders import BLSTM, CharCNN, DropoutSpec, EncoderError, WordRepresentation
 from seqlab.numeric import RngState, Tensor, grad_check
+from synthetic_data import add_sentence
 
 
 class TestCharCNN:
@@ -141,7 +142,7 @@ class TestWordRepresentation:
         weights = None
         if with_ctx:
             store = ContextualVectorStore()
-            store.add_sentence(batch.tokens[0], RngState(9).uniform(-1, 1, (2, 2, d_ctx)))
+            add_sentence(store, batch.tokens[0], RngState(9).uniform(-1, 1, (2, 2, d_ctx)))
             weights = ElmoWeights(2)
         repr_ = WordRepresentation(vocab, emb, cnn, elmo_weights=weights,
                                    contextual_store=store)

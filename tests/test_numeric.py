@@ -107,13 +107,13 @@ class TestSgdStep:
     def test_initial_lr(self):
         p = Parameter(np.array([1.0]), "p")
         p.grad[:] = 1.0
-        lr = sgd_step([p], 0.01, 0.05, 0)
-        assert lr == 0.01
+        lr, norm = sgd_step([p], 0.01, 0.05, 0)
+        assert lr == 0.01 and norm == 1.0
         assert p.data[0] == pytest.approx(0.99)
 
     def test_decayed_lr_epoch_1(self):
         p = Parameter(np.array([0.0]), "p")
-        lr = sgd_step([p], 0.01, 0.05, 1)
+        lr, _ = sgd_step([p], 0.01, 0.05, 1)
         assert lr == pytest.approx(0.01 / 1.05, abs=1e-12)
         assert lr == pytest.approx(0.0095238, abs=1e-7)
 
@@ -162,6 +162,7 @@ def sgd_step_allocating(params, base_lr, decay, epoch, clip_norm=5.0):
             raise NumericError("non-finite gradient in parameter %r" % p.name)
         grads.append((p, ids, g))
     lr = nm.learning_rate(base_lr, decay, epoch)
+    total = None
     if clip_norm is not None:
         total = np.sqrt(sum(float((g * g).sum()) for _, _, g in grads))
         if total > clip_norm:
@@ -175,7 +176,7 @@ def sgd_step_allocating(params, base_lr, decay, epoch, clip_norm=5.0):
         else:
             p.data[ids] -= lr * g
             p.row_grads.clear()
-    return lr
+    return lr, total
 
 
 class TestSgdInPlace:
@@ -199,8 +200,8 @@ class TestSgdInPlace:
         table_before = new[-1].data.copy()
         touched = np.zeros(len(table_before), dtype=bool)
         touched[new[-1].grad_rows()[0]] = True
-        lr = sgd_step(new, 0.5, 0.05, 2, clip_norm=clip_norm)
-        assert lr == sgd_step_allocating(old, 0.5, 0.05, 2, clip_norm=clip_norm)
+        lr_norm = sgd_step(new, 0.5, 0.05, 2, clip_norm=clip_norm)
+        assert lr_norm == sgd_step_allocating(old, 0.5, 0.05, 2, clip_norm=clip_norm)
         for a, b in zip(new, old):
             assert a.data.tobytes() == b.data.tobytes()
         assert new[-1].data[~touched].tobytes() == table_before[~touched].tobytes()

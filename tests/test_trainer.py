@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from seqlab import trainer
 from seqlab.mtl import build_model, load_checkpoint
 from seqlab.numeric import RngState, sgd_step
 from seqlab.trainer import (
@@ -129,6 +130,47 @@ class TestTrainLoop:
         payload_a = (tmp_path / "a" / "run" / "best" / "params.bin").read_bytes()
         payload_b = (tmp_path / "b" / "run" / "best" / "params.bin").read_bytes()
         assert payload_a == payload_b
+
+    def test_history_keeps_its_values_and_adds_grad_norms(self, tmp_path):
+        # the fields a record had before the gradient-norm fields, bit for
+        # bit as that trainer wrote them on this run
+        state, config = run("rnn_shared", tmp_path, lm_mode="shared")
+        pinned = [
+            {"epoch": 0, "lr": "0x1.47ae147ae147bp-7", "main_loss": "0x1.c39f20c75ad07p+2",
+             "aux_loss": "0x1.a8f875e3c9d24p+1", "lm_loss": "0x1.060b971ae363ep+0",
+             "dev_p": "0x1.2492492492492p-4", "dev_r": "0x1.5555555555555p-4",
+             "dev_f1": "0x1.3b13b13b13b13p-4", "checkpointed": True},
+            {"epoch": 1, "lr": "0x1.3813813813813p-7", "main_loss": "0x1.b40bb6274e438p+2",
+             "aux_loss": "0x1.e764645ea565ep+1", "lm_loss": "0x1.09ee8e4c2d170p+0",
+             "dev_p": "0x1.2492492492492p-4", "dev_r": "0x1.5555555555555p-4",
+             "dev_f1": "0x1.3b13b13b13b13p-4", "checkpointed": False},
+        ]
+        for rec, want in zip(state.history, pinned, strict=True):
+            assert {k: v.hex() if isinstance(v, float) else v
+                    for k, v in rec.items() if k in want} == want
+            assert set(rec) - set(want) == {"grad_norm_mean", "grad_norm_max", "clip_steps"}
+            assert 0.0 < rec["grad_norm_mean"] <= rec["grad_norm_max"]
+            assert rec["clip_steps"] == 0 or rec["grad_norm_max"] > config.clip_norm
+        state, _ = run("single", tmp_path / "off", clip_norm=None)
+        assert all(rec["grad_norm_mean"] is rec["grad_norm_max"] is rec["clip_steps"] is None
+                   for rec in state.history)
+
+    def test_grad_norm_fields_summarize_the_steps(self, tmp_path, monkeypatch):
+        steps = []  # (epoch, norm before clipping) of every update
+
+        def recording_sgd_step(params, base_lr, decay, epoch, clip_norm):
+            lr, norm = sgd_step(params, base_lr, decay, epoch, clip_norm=clip_norm)
+            steps.append((epoch, norm))
+            return lr, norm
+
+        monkeypatch.setattr(trainer, "sgd_step", recording_sgd_step)
+        state, _ = run("single", tmp_path, clip_norm=3.0)
+        for rec in state.history:
+            norms = [n for epoch, n in steps if epoch == rec["epoch"]]
+            assert rec["grad_norm_mean"] == sum(norms) / len(norms)
+            assert rec["grad_norm_max"] == max(norms)
+            assert rec["clip_steps"] == sum(n > 3.0 for n in norms)
+        assert 0 < sum(rec["clip_steps"] for rec in state.history) < len(steps)
 
     def test_lambda_zero_trace_matches_lm_none(self, tmp_path):
         model_none = build_model(spec_for("single", "none"), VOCAB)
