@@ -2,6 +2,7 @@
 and an exhaustive enumeration oracle."""
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -102,7 +103,8 @@ def _row_group(B, L):
 
 def _forward(e, layer):
     """Log-space forward recursion over (B, T, L) emission scores, in row
-    groups of `_row_group`.
+    groups of `_row_group`; row by row, the first (B + 1) // 2 rows run on a
+    second core (`numeric.run_pair`).
 
     Returns alpha (B, T, L), the log-sum of the scores of every label prefix
     ending in each label at each step, and log Z (B,).
@@ -113,11 +115,19 @@ def _forward(e, layer):
     alpha = np.empty((B, T, L))
     alpha[:, 0] = e[:, 0] + trans[layer.start, :L]
     group = _row_group(B, L)
-    scores = np.empty((group, L, L))
-    for lo in range(0, B, group):
-        rows = slice(lo, lo + group)
-        for t in range(1, T):
-            alpha[rows, t] = _lse_rows(_step_scores(alpha[rows], block, e[rows], t, scores))
+
+    def rows(lo, hi):
+        scores = np.empty((group, L, L))
+        for r in range(lo, hi, group):
+            rs = slice(r, r + group)
+            for t in range(1, T):
+                alpha[rs, t] = _lse_rows(_step_scores(alpha[rs], block, e[rs], t, scores))
+
+    if group < B:
+        half = (B + 1) // 2
+        nm.run_pair(partial(rows, 0, half), partial(rows, half, B))
+    else:
+        rows(0, B)
     return alpha, _lse_rows(alpha[:, -1] + trans[:L, layer.stop])
 
 
@@ -129,7 +139,10 @@ def crf_log_z(emissions, layer):
     the recursion in reverse, recomputing each step's softmax from the stored
     alphas, so no (B, T, L, L) array of step scores is kept. Both directions
     run in the row groups of `_row_group`; every value is bitwise the same
-    as for the whole batch at once.
+    as for the whole batch at once. Row by row, the backward takes each step
+    t on two cores: the first (B + 1) // 2 rows add their step gradient into
+    the transitions' as they go, the others hold theirs and add them while
+    step t - 1 runs, so the rows are summed in order.
     """
     B, T, L = emissions.shape
     trans = layer.transitions
@@ -140,27 +153,47 @@ def crf_log_z(emissions, layer):
         block = tr[:L, :L]
         d_e = np.empty_like(e)
         d_trans = np.zeros_like(tr)
-        group = _row_group(B, L)
         d_block = np.zeros((T, L, L))
         final = alpha[:, -1] + tr[:L, layer.stop]
-        d_final = g[:, None] * np.exp(final - log_z[:, None])
-        d_trans[:L, layer.stop] = d_final.sum(axis=0)
-        d_scores = np.empty((group, L, L))
-        for lo in range(0, B, group):
-            rows = slice(lo, lo + group)
-            a, d_alpha = alpha[rows], d_final[rows]
+        d_alpha = g[:, None] * np.exp(final - log_z[:, None])
+        d_trans[:L, layer.stop] = d_alpha.sum(axis=0)
+
+        def step(rs, t, out):
+            """Gradient of step t's scores of rows `rs`, into `out`; writes
+            their d_e[:, t] and moves their d_alpha to step t - 1."""
+            a = alpha[rs]
+            _step_scores(a, block, e[rs], t, out)
+            out -= a[:, t, None, :]
+            np.exp(out, out=out)
+            out *= d_alpha[rs, None, :]
+            d_e[rs, t] = out.sum(axis=1)
+            d_alpha[rs] = out.sum(axis=2)
+            return out
+
+        if _row_group(B, L) < B:  # row by row, in the order sum(axis=0) adds them
+            half = (B + 1) // 2
+            own = np.empty((1, L, L))
+            held = np.empty((B - half, L, L))
+
+            def first(t):
+                for r in range(half):
+                    d_block[t] += step(slice(r, r + 1), t, own)[0]
+
+            def second(t):
+                for k, r in enumerate(range(half, B)):
+                    if t + 1 < T:  # step t + 1's row, now that `first` is done with it
+                        d_block[t + 1] += held[k]
+                    if t > 0:
+                        step(slice(r, r + 1), t, held[k : k + 1])
+
             for t in range(T - 1, 0, -1):
-                _step_scores(a, block, e[rows], t, d_scores)
-                d_scores -= a[:, t, None, :]
-                np.exp(d_scores, out=d_scores)
-                d_scores *= d_alpha[:, None, :]
-                d_e[rows, t] = d_scores.sum(axis=1)
-                if group == B:
-                    d_block[t] = d_scores.sum(axis=0)
-                else:  # row by row, in the order sum(axis=0) adds them
-                    d_block[t] += d_scores[0]
-                d_alpha = d_scores.sum(axis=2)
-            d_e[rows, 0] = d_alpha
+                nm.run_pair(partial(first, t), partial(second, t))
+            second(0)
+        else:
+            d_scores = np.empty((B, L, L))
+            for t in range(T - 1, 0, -1):
+                d_block[t] = step(slice(None), t, d_scores).sum(axis=0)
+        d_e[:, 0] = d_alpha
         # summed first step to last, the order of the per-step graph, so that
         # the gradient is bit-identical to it
         for t in range(1, T):

@@ -41,7 +41,9 @@ def _direction_loss(states, w, b, targets):
     same order; the hand-written backward adds the target's -1 into the
     softmax rows instead of scattering it into a zero array, and as the two
     contributions to the logits' gradient commute, every gradient is
-    bit-identical to that graph's (`tests/tape_reference.py`).
+    bit-identical to that graph's (`tests/tape_reference.py`). The backward
+    computes the states' gradient on a second core (`numeric.run_pair`)
+    while `b` and `w` take theirs.
     """
     B, T, H = states.shape
     h2 = states.data.reshape(B * T, H)
@@ -61,18 +63,25 @@ def _direction_loss(states, w, b, targets):
         np.exp(d, out=d)
         d *= gs
         d[rows, targets] += gs * -1.0
-        if b.requires_grad:
-            b.accumulate(d.sum(axis=0))
-        if w.requires_grad:
-            w.accumulate(h2.T @ d)
-        if states.requires_grad:
-            states.accumulate((d @ w.data.T).reshape(B, T, H))
+
+        def params():
+            if b.requires_grad:
+                b.accumulate(d.sum(axis=0))
+            if w.requires_grad:
+                w.accumulate(h2.T @ d)
+
+        if states.requires_grad:  # the state gradient on the second core
+            d_states, _ = nm.run_pair(lambda: d @ w.data.T, params)
+            states.accumulate(d_states.reshape(B, T, H))
+        else:
+            params()
 
     return nm.make_node(loss, (states, w, b), backward)
 
 
 def lm_losses(forward_states, backward_states, lm_ids, head):
-    """(E_fwd, E_bwd) over a batch.
+    """(E_fwd, E_bwd) over a batch, the two built at the same time
+    (`numeric.run_pair`).
 
     Forward targets are w_2 ... w_{T+1}=END; backward targets are
     w_0=START ... w_{T-1}.
@@ -90,9 +99,9 @@ def lm_losses(forward_states, backward_states, lm_ids, head):
     bwd_targets = np.concatenate(
         [np.full((B, 1), LM_START_ID, dtype=np.int64), lm_ids[:, :-1]], axis=1
     )
-    e_fwd = _direction_loss(forward_states, head.fwd_w, head.fwd_b, fwd_targets)
-    e_bwd = _direction_loss(backward_states, head.bwd_w, head.bwd_b, bwd_targets)
-    return e_fwd, e_bwd
+    return nm.run_pair(
+        lambda: _direction_loss(forward_states, head.fwd_w, head.fwd_b, fwd_targets),
+        lambda: _direction_loss(backward_states, head.bwd_w, head.bwd_b, bwd_targets))
 
 
 def joint_loss(e_task, e_fwd, e_bwd, lam):

@@ -7,6 +7,8 @@ gradient checker, and the SGD update rule used by the trainers.
 
 import contextlib
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "glorot_parameter",
     "init_parameter",
     "param_rng",
+    "run_pair",
 ]
 
 
@@ -215,12 +218,17 @@ def _coalesce(pairs, shape):
     """
     if not pairs:
         return np.zeros(0, dtype=np.intp), np.zeros((0,) + shape[1:])
-    ids, inverse = np.unique(np.concatenate([i for i, _ in pairs]), return_inverse=True)
+    if len(pairs) == 1:  # every gather backward: the rows as they are
+        ids, values = pairs[0]
+    else:
+        ids = np.concatenate([i for i, _ in pairs])
+        values = np.concatenate([r for _, r in pairs])
+    ids, inverse = np.unique(ids, return_inverse=True)
     width = int(np.prod(shape[1:]))
     # element e of input row k goes to bin inverse[k] * width + e
-    bins = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-    rows = np.bincount(bins, np.concatenate([r for _, r in pairs]).reshape(-1),
-                       minlength=ids.size * width)
+    inverse *= width
+    bins = np.add.outer(inverse, np.arange(width)).reshape(-1)
+    rows = np.bincount(bins, values.reshape(-1), minlength=ids.size * width)
     return ids, rows.reshape((ids.size,) + shape[1:])
 
 
@@ -568,6 +576,39 @@ def sgd_step(params, base_lr, decay, epoch, clip_norm=5.0):
             p.data[ids] -= g
             p.row_grads.clear()
     return lr, total
+
+
+# -- two cores ------------------------------------------------------------
+
+
+def _new_pair_pool():
+    global _pair_pool
+    _pair_pool = ThreadPoolExecutor(1, "seqlab-pair")  # its thread starts on first use
+
+
+_new_pair_pool()
+if hasattr(os, "register_at_fork"):  # a forked child has no copy of the thread
+    os.register_at_fork(after_in_child=_new_pair_pool)
+
+
+def run_pair(first, second):
+    """Call `first()` and `second()` at the same time; returns both results.
+
+    `first` runs on one worker thread, started by the first call, and
+    `second` on the calling thread. `first` runs to its end, also when
+    `second` raises, and an exception of `first` is raised here after
+    `second` has finished. The two must write no memory in common, and
+    `first` must not call `run_pair` (it would wait for its own thread);
+    then every result is bitwise that of a serial run. Only large numpy
+    calls, which release the interpreter lock, overlap; on one CPU the two
+    halves take turns, about as fast as one thread running both.
+    """
+    worker = _pair_pool.submit(first)
+    try:
+        mine = second()
+    finally:
+        theirs = worker.result()
+    return theirs, mine
 
 
 # -- random state -----------------------------------------------------------

@@ -5,6 +5,7 @@ model selection, and checkpointing."""
 import json
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 from .corpus import make_batches
@@ -97,12 +98,11 @@ def _epoch_schedule(spec, main_batches, aux_batches, rng_task):
     return schedule
 
 
-def _write_history(history, directory):
-    tmp = os.path.join(directory, "history.jsonl.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for rec in history:
+def _write_jsonl(records, path):
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    os.replace(tmp, os.path.join(directory, "history.jsonl"))
+    os.replace(path + ".tmp", path)
 
 
 def _norm_fields(norms, clip_norm):
@@ -128,6 +128,11 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
     off). `lm_loss` is the mean of lambda * (E_fwd + E_bwd) over every
     step in the schedule: when lm_mode is not `none`, every step of either
     task carries the LM term, so the schedule length is its step count.
+
+    Wall-clock figures go to `timing.jsonl` beside `history.jsonl`, which
+    stays the same bytes on every run: per epoch, `epoch_seconds` (batching,
+    training steps, dev scoring and checkpoint) and `train_tokens_per_s`
+    (tokens of the schedule over the time of its steps).
     """
     spec = model.spec
     if spec.topology != "single" and aux_corpus is None:
@@ -142,7 +147,9 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
     task_names = {"main": spec.main_task, "auxiliary": spec.aux_task}
     bad_epochs = 0
     best_dir = os.path.join(config.checkpoint_dir, "best")
+    timing = []
     for epoch in range(config.epochs):
+        epoch_start = time.perf_counter()
         main_batches = make_batches(main_corpus, model.vocab, config.batch_size, rng_shuffle)
         aux_batches = (make_batches(aux_corpus, model.vocab, config.batch_size, rng_shuffle)
                        if aux_corpus is not None else [])
@@ -151,6 +158,7 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
         counts = {"main": 0, "auxiliary": 0}
         lr = learning_rate(config.base_lr, config.decay, epoch)
         norms = []
+        steps_start = time.perf_counter()
         for batch_index, (role, batch) in enumerate(schedule):
             result = model.forward_task(batch, task_names[role], mode="train",
                                         rng=rng_dropout)
@@ -167,6 +175,7 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
             counts[role] += 1
             if result.lm_fwd is not None:
                 sums["lm"] += spec.lam * (result.lm_fwd.item() + result.lm_bwd.item())
+        steps_seconds = time.perf_counter() - steps_start
         report = evaluate_model(model, dev_corpus, spec.main_task, config.batch_size)
         checkpointed = report.f1 > state.best_dev_f1
         if checkpointed:
@@ -189,7 +198,11 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
             **_norm_fields(norms, config.clip_norm),
         })
         state.epoch = epoch + 1
-        _write_history(state.history, config.checkpoint_dir)
+        tokens = sum(batch.size * batch.length for _, batch in schedule)
+        timing.append({"epoch": epoch, "epoch_seconds": time.perf_counter() - epoch_start,
+                       "train_tokens_per_s": tokens / steps_seconds if steps_seconds else 0.0})
+        _write_jsonl(state.history, os.path.join(config.checkpoint_dir, "history.jsonl"))
+        _write_jsonl(timing, os.path.join(config.checkpoint_dir, "timing.jsonl"))
         if bad_epochs > config.patience:
             break
     return state

@@ -118,6 +118,18 @@ class TestTrainLoop:
         ]
         assert all(rec["aux_loss"] != 0.0 for rec in state.history)
 
+    def test_timing_file_beside_history(self, tmp_path):
+        state, config = run("hierarchical", tmp_path, lm_mode="shared")
+        lines = (tmp_path / "run" / "timing.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [rec["epoch"] for rec in records] == [rec["epoch"] for rec in state.history]
+        tokens = sum(len(s) for c in (MAIN, AUX) for s in c.sentences)
+        for rec in records:
+            assert set(rec) == {"epoch", "epoch_seconds", "train_tokens_per_s"}
+            assert 0 < tokens / rec["train_tokens_per_s"] < rec["epoch_seconds"]
+        assert not set(records[0]) & set(state.history[0]) - {"epoch"}
+        assert not (tmp_path / "run" / "timing.jsonl.tmp").exists()
+
     def test_determinism(self, tmp_path):
         state_a, _ = run("rnn_shared", tmp_path / "a", lm_mode="shared")
         state_b, _ = run("rnn_shared", tmp_path / "b", lm_mode="shared")
