@@ -4,6 +4,7 @@ gradient checking, and self-verification."""
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .corpus import build_vocab, parse_conll, corpus_stats, render_stats
 from .embeddings import (load_contextual_store, load_pretrained, not_utf8,
@@ -18,32 +19,25 @@ class CliError(ValueError):
     pass
 
 
-# Config keys follow the hyper-parameter table naming; each entry is
-# (type, default).
-CONFIG_SCHEMA = {
-    "hidden_size": (int, 256),
-    "char_dim": (int, 30),
-    "char_window": (int, 3),
-    "char_filters": (int, 30),
-    "input_dropout": (float, 0.33),
-    "blstm_dropout": (float, 0.5),
-    "glove_dim": (int, 300),
-    "elmo_dim": (int, 1024),
-    "gamma": (float, 1.0),
-    "lambda": (float, 0.05),
-    "batch_size": (int, 16),
-    "lr": (float, 0.01),
-    "decay": (float, 0.05),
-    "clip_norm": (float, 5.0),
-    "epochs": (int, 100),
-    "patience": (int, 10),
-    "seed": (int, 0),
-    "min_freq": (int, 1),
-    "lm_vocab_size": (int, 5000),
-    "topology": (str, "single"),
-    "lm_mode": (str, "none"),
-    "crf": (bool, True),
+# Config keys follow the hyper-parameter table naming. Each sets the
+# ModelSpec or TrainConfig field it names (`seed` sets both) and takes that
+# field's type and default.
+CONFIG_FIELDS = {
+    "hidden_size": "hidden", "char_dim": "d_char", "char_window": "char_window",
+    "char_filters": "char_filters", "input_dropout": "input_dropout",
+    "blstm_dropout": "blstm_dropout", "glove_dim": "d_word", "lambda": "lam",
+    "batch_size": "batch_size", "lr": "base_lr", "decay": "decay", "clip_norm": "clip_norm",
+    "epochs": "epochs", "patience": "patience", "seed": "seed", "topology": "topology",
+    "lm_mode": "lm_mode", "crf": "crf_enabled",
 }
+_FIELDS = {f.name: f for cls in (TrainConfig, ModelSpec) for f in fields(cls)}
+# each entry is (type, default); the last two keys go to build_vocab
+CONFIG_SCHEMA = {key: (_FIELDS[name].type, _FIELDS[name].default)
+                 for key, name in CONFIG_FIELDS.items()}
+CONFIG_SCHEMA.update(min_freq=(int, 1), lm_vocab_size=(int, 5000))
+# the `train` flags that override a config key, in --help order
+OVERRIDE_KEYS = ("topology", "lm_mode", "hidden_size", "seed", "epochs", "patience",
+                 "batch_size", "lr", "decay")
 
 
 def _coerce(key, raw):
@@ -101,25 +95,19 @@ def render_config(resolved):
     return "\n".join("%s = %s" % (key, resolved[key]) for key in sorted(resolved))
 
 
-def spec_from_config(cfg, use_contextual=False):
-    return ModelSpec(
-        topology=cfg["topology"],
-        main_task="main",
-        aux_task=None if cfg["topology"] == "single" else "aux",
-        lm_mode=cfg["lm_mode"],
-        hidden=cfg["hidden_size"],
-        d_word=cfg["glove_dim"],
-        d_char=cfg["char_dim"],
-        char_window=cfg["char_window"],
-        char_filters=cfg["char_filters"],
-        input_dropout=cfg["input_dropout"],
-        blstm_dropout=cfg["blstm_dropout"],
-        lam=cfg["lambda"],
-        use_contextual=use_contextual,
-        ctx_dim=cfg["elmo_dim"],
-        crf_enabled=cfg["crf"],
-        seed=cfg["seed"],
-    )
+def _config_fields(cls, cfg):
+    """The fields of dataclass `cls` that the resolved config sets."""
+    names = {f.name for f in fields(cls)}
+    return {name: cfg[key] for key, name in CONFIG_FIELDS.items() if name in names}
+
+
+def spec_from_config(cfg, store=None):
+    """The ModelSpec of a resolved config; a contextual store sets the layer
+    count and width of the contextual vectors."""
+    ctx = {} if store is None else dict(use_contextual=True, ctx_layers=store.n_layers,
+                                        ctx_dim=store.dim)
+    return ModelSpec(aux_task=None if cfg["topology"] == "single" else "aux",
+                     **ctx, **_config_fields(ModelSpec, cfg))
 
 
 def _read_corpus(path, task, split, args, labels_optional=False):
@@ -137,9 +125,7 @@ def _read_corpus(path, task, split, args, labels_optional=False):
 
 
 def _overrides_from_args(args):
-    flags = ("topology", "lm_mode", "seed", "epochs", "patience", "batch_size",
-             "lr", "decay", "hidden_size")
-    return {key: getattr(args, key) for key in flags if getattr(args, key, None) is not None}
+    return {key: getattr(args, key) for key in OVERRIDE_KEYS if getattr(args, key) is not None}
 
 
 def cmd_stats(args):
@@ -159,7 +145,7 @@ def cmd_train(args):
         aux_corpus = _read_corpus(args.aux, "aux", "train", args)
         corpora.append(aux_corpus)
     store = load_contextual_store(args.contextual) if args.contextual else None
-    spec = spec_from_config(cfg, use_contextual=store is not None)
+    spec = spec_from_config(cfg, store)
 
     pretrained = None
     if args.embeddings:
@@ -173,7 +159,7 @@ def cmd_train(args):
     if args.embeddings:
         matrix = load_pretrained(args.embeddings, vocab, seed=cfg["seed"])
     else:
-        matrix = random_embeddings(vocab, cfg["glove_dim"], seed=cfg["seed"])
+        matrix = random_embeddings(vocab, spec.d_word, seed=cfg["seed"])
     model = build_model(spec, vocab, embedding_matrix=matrix, contextual_store=store)
 
     print("resolved configuration:")
@@ -182,10 +168,7 @@ def cmd_train(args):
     with open(os.path.join(checkpoint_dir, "run.cfg"), "w", encoding="utf-8") as fh:
         fh.write(render_config(cfg) + "\n")
 
-    config = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                         base_lr=cfg["lr"], decay=cfg["decay"], seed=cfg["seed"],
-                         patience=cfg["patience"], clip_norm=cfg["clip_norm"],
-                         checkpoint_dir=checkpoint_dir)
+    config = TrainConfig(checkpoint_dir=checkpoint_dir, **_config_fields(TrainConfig, cfg))
     state = train(model, main_corpus, aux_corpus, dev_corpus, config)
     print("trained %d epochs; best dev F1 %.4f; checkpoint %s"
           % (state.epoch, state.best_dev_f1, state.best_checkpoint))
@@ -275,15 +258,8 @@ def build_parser():
     p.add_argument("--embeddings")
     p.add_argument("--contextual")
     p.add_argument("--checkpoint-dir", default="checkpoints")
-    p.add_argument("--topology")
-    p.add_argument("--lm-mode", dest="lm_mode")
-    p.add_argument("--hidden-size", dest="hidden_size")
-    p.add_argument("--seed")
-    p.add_argument("--epochs")
-    p.add_argument("--patience")
-    p.add_argument("--batch-size", dest="batch_size")
-    p.add_argument("--lr")
-    p.add_argument("--decay")
+    for key in OVERRIDE_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key)
     _add_io_flags(p)
     p.set_defaults(func=cmd_train)
 

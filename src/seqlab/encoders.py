@@ -1,8 +1,6 @@
 """Token representations (word embedding + char-CNN + optional contextual
 vector) and bi-directional LSTM encoding."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numeric as nm
@@ -11,17 +9,6 @@ from .numeric import glorot_parameter, init_parameter
 
 class EncoderError(ValueError):
     pass
-
-
-@dataclass
-class DropoutSpec:
-    input_rate: float = 0.33
-    blstm_output_rate: float = 0.5
-
-    def __post_init__(self):
-        for rate in (self.input_rate, self.blstm_output_rate):
-            if not 0.0 <= rate < 1.0:
-                raise EncoderError("dropout rate %r outside [0, 1)" % rate)
 
 
 class CharCNN:
@@ -101,7 +88,6 @@ class BLSTM:
     def __init__(self, d_in, hidden, seed, prefix, saved=None):
         self.d_in = d_in
         self.hidden = hidden
-        self.prefix = prefix
         self._dirs = {}
 
         def forget_bias(shape):
@@ -119,17 +105,14 @@ class BLSTM:
     def parameters(self):
         return [p for triple in self._dirs.values() for p in triple]
 
-    def forward(self, x, dropout=None, mode="eval", rng=None):
-        """(B, T, d_in) -> (B, T, 2H); output dropout applied in train mode."""
+    def forward(self, x):
+        """(B, T, d_in) -> (B, T, 2H); output dropout is the caller's."""
         if x.shape[-1] != self.d_in:
             raise EncoderError(
                 "input dimension %d != layer input size %d" % (x.shape[-1], self.d_in)
             )
-        out = nm.concat([nm.lstm_direction(x, *self._dirs["fwd"]),
-                         nm.lstm_direction(x, *self._dirs["bwd"], reverse=True)], axis=2)
-        if mode == "train" and dropout is not None and dropout.blstm_output_rate > 0:
-            out = nm.dropout(out, dropout.blstm_output_rate, rng)
-        return out
+        return nm.concat([nm.lstm_direction(x, *self._dirs["fwd"]),
+                          nm.lstm_direction(x, *self._dirs["bwd"], reverse=True)], axis=2)
 
 
 class WordRepresentation:
@@ -137,13 +120,12 @@ class WordRepresentation:
     contextual vector per token."""
 
     def __init__(self, vocab, embedding_matrix, char_cnn, elmo_weights=None,
-                 contextual_store=None, dropout=None, elmo_trainable=True, saved=None):
+                 contextual_store=None, elmo_trainable=True, saved=None):
         self.vocab = vocab
         self.char_cnn = char_cnn
         self.elmo_weights = elmo_weights
         self.elmo_trainable = elmo_trainable
         self.contextual_store = contextual_store
-        self.dropout = dropout or DropoutSpec()
         self.trainable_embeddings = embedding_matrix.trainable
         self.word_emb = init_parameter("repr.word_emb",
                                        (vocab.n_words, embedding_matrix.d_word),

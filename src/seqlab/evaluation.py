@@ -70,7 +70,6 @@ class EvalReport:
     n_predicted: int
     n_correct: int
     per_type: dict = field(default_factory=dict)      # type -> TypeScore
-    gold_mean_length: dict = field(default_factory=dict)  # type -> mean token length
 
 
 def _prf(correct, predicted, gold):
@@ -90,7 +89,6 @@ def f1_score(gold, pred):
     n_tokens = 0
     correct_tokens = 0
     counts = {}  # type -> [correct, predicted, gold]
-    lengths = {}
     total = [0, 0, 0]
     for i, (g, p) in enumerate(zip(gold, pred)):
         if len(g) != len(p):
@@ -102,7 +100,6 @@ def f1_score(gold, pred):
         p_chunks = set(extract_chunks(p))
         for c in g_chunks:
             counts.setdefault(c.type, [0, 0, 0])[2] += 1
-            lengths.setdefault(c.type, []).append(c.end - c.start)
             total[2] += 1
         for c in p_chunks:
             counts.setdefault(c.type, [0, 0, 0])[1] += 1
@@ -126,7 +123,6 @@ def f1_score(gold, pred):
         n_predicted=total[1],
         n_correct=total[0],
         per_type=per_type,
-        gold_mean_length={t: sum(v) / len(v) for t, v in sorted(lengths.items())},
     )
 
 

@@ -12,7 +12,7 @@ from . import numeric as nm
 from .crf import (CRFLayer, crf_nll_batch, emission_scores, softmax_nll_batch,
                   viterbi_decode)
 from .embeddings import ElmoWeights, EmbeddingMatrix, random_embeddings
-from .encoders import BLSTM, CharCNN, DropoutSpec, WordRepresentation
+from .encoders import BLSTM, CharCNN, WordRepresentation
 from .lm import LMHead, joint_loss, lm_losses
 from .numeric import Tensor
 
@@ -60,6 +60,9 @@ class ModelSpec:
             raise SpecError("single topology takes no aux_task")
         if self.lm_mode == "unshared" and self.topology == "single":
             raise SpecError("unshared lm_mode requires a multi-task topology")
+        for rate in (self.input_dropout, self.blstm_dropout):
+            if not 0.0 <= rate < 1.0:
+                raise SpecError("dropout rate %r outside [0, 1)" % rate)
 
     @property
     def tasks(self):
@@ -103,7 +106,6 @@ class Model:
         self.blstms = blstms
         self.crf_heads = crf_heads
         self.lm_heads = lm_heads
-        self.dropout = word_repr.dropout
 
     def parameters(self):
         params = list(self.word_repr.parameters())
@@ -136,23 +138,23 @@ class Model:
         spec = self.spec
         if task not in spec.tasks:
             raise SpecError("task %r not present in %s model" % (task, spec.topology))
-        train = mode == "train"
-        raw = self.word_repr.forward(batch)
-        x = nm.dropout(raw, self.dropout.input_rate, rng) if train else raw
 
+        def drop(a, rate):
+            return nm.dropout(a, rate, rng) if mode == "train" else a
+
+        # masks are drawn in this order: input, aux output, main input, main output
+        raw = self.word_repr.forward(batch)
+        x = drop(raw, spec.input_dropout)
         level_states = {}
         level = spec.level_of(task)
         if spec.topology == "hierarchical":
-            aux_states = self.blstms["aux"].forward(x, self.dropout, mode, rng)
-            level_states["aux"] = aux_states
+            level_states["aux"] = drop(self.blstms["aux"].forward(x), spec.blstm_dropout)
             if task == spec.main_task:
-                x2 = nm.concat([raw, aux_states], axis=2)
-                if train:
-                    x2 = nm.dropout(x2, self.dropout.input_rate, rng)
-                level_states["main"] = self.blstms["main"].forward(
-                    x2, self.dropout, mode, rng)
+                x2 = drop(nm.concat([raw, level_states["aux"]], axis=2), spec.input_dropout)
+                level_states["main"] = drop(self.blstms["main"].forward(x2),
+                                            spec.blstm_dropout)
         else:
-            level_states[level] = self.blstms[level].forward(x, self.dropout, mode, rng)
+            level_states[level] = drop(self.blstms[level].forward(x), spec.blstm_dropout)
         states = level_states[level]
 
         result = ForwardResult(states=states)
@@ -206,8 +208,10 @@ def build_model(spec, vocab, embedding_matrix=None, contextual_store=None, saved
     for task in spec.tasks:
         if task not in vocab.label_to_id:
             raise SpecError("vocabulary has no label set for task %r" % task)
-    if spec.use_contextual and contextual_store is None:
-        raise SpecError("use_contextual requires a contextual vector store")
+    if spec.use_contextual and not contextual_store:
+        raise SpecError("use_contextual requires a contextual vector store with records")
+    if contextual_store is not None and not spec.use_contextual:
+        raise SpecError("a contextual vector store needs use_contextual")
     saved = saved or {}
     if embedding_matrix is None:
         embedding_matrix = (EmbeddingMatrix(saved["repr.word_emb"]) if "repr.word_emb" in saved
@@ -219,11 +223,9 @@ def build_model(spec, vocab, embedding_matrix=None, contextual_store=None, saved
     if spec.use_contextual:
         elmo = (ElmoWeights.frozen_top_layer(spec.ctx_layers) if spec.elmo_frozen
                 else ElmoWeights(spec.ctx_layers, saved=saved))
-    dropout = DropoutSpec(spec.input_dropout, spec.blstm_dropout)
     word_repr = WordRepresentation(vocab, embedding_matrix, char_cnn,
                                    elmo_weights=elmo,
                                    contextual_store=contextual_store,
-                                   dropout=dropout,
                                    elmo_trainable=not spec.elmo_frozen, saved=saved)
     d_repr = word_repr.d_repr
     blstms = {}

@@ -11,7 +11,10 @@ from seqlab.cli import (
     render_config,
     resolve_config,
 )
-from synthetic_data import COARSE, make_corpus, to_conll
+from seqlab.corpus import parse_conll
+from seqlab.embeddings import ContextualVectorStore
+from seqlab.numeric import RngState
+from synthetic_data import COARSE, add_sentence, make_corpus, save_contextual_store, to_conll
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,21 @@ class TestConfig:
         assert cfg["lr"] == 0.01
         assert cfg["decay"] == 0.05
         assert cfg["batch_size"] == 16
+
+    def test_every_key_type_and_default(self):
+        cfg = resolve_config()
+        assert cfg == {
+            "hidden_size": 256, "char_dim": 30, "char_window": 3, "char_filters": 30,
+            "input_dropout": 0.33, "blstm_dropout": 0.5, "glove_dim": 300, "lambda": 0.05,
+            "batch_size": 16, "lr": 0.01, "decay": 0.05, "clip_norm": 5.0, "epochs": 100,
+            "patience": 10, "seed": 0, "min_freq": 1, "lm_vocab_size": 5000,
+            "topology": "single", "lm_mode": "none", "crf": True,
+        }
+        floats = {"input_dropout", "blstm_dropout", "lambda", "lr", "decay", "clip_norm"}
+        assert {key for key, value in cfg.items() if type(value) is float} == floats
+        assert {key for key, value in cfg.items() if type(value) is str} == {"topology",
+                                                                             "lm_mode"}
+        assert type(cfg["crf"]) is bool
 
     def test_file_then_flags(self, data_dir):
         cfg = resolve_config(str(data_dir / "tiny.cfg"), {"epochs": "5"})
@@ -199,6 +217,47 @@ class TestTrainEvaluatePredict:
         ])
         assert status == 0
         assert "best dev F1" in capsys.readouterr().out
+
+    def test_contextual_store_sets_layers_and_width(self, data_dir, tmp_path, capsys):
+        # an ELMo-style store: 3 layers, here of width 5
+        store = ContextualVectorStore()
+        rng = RngState(3)
+        for name in ("train.conll", "dev.conll"):
+            for sentence in parse_conll((data_dir / name).read_text()).sentences:
+                add_sentence(store, sentence.tokens, rng.uniform(-1, 1, (3, len(sentence), 5)))
+        save_contextual_store(store, tmp_path / "elmo.bin")
+        assert main([
+            "train",
+            "--config", str(data_dir / "tiny.cfg"),
+            "--train", str(data_dir / "train.conll"),
+            "--dev", str(data_dir / "dev.conll"),
+            "--contextual", str(tmp_path / "elmo.bin"),
+            "--epochs", "1",
+            "--checkpoint-dir", str(tmp_path / "run"),
+        ]) == 0
+        assert "best dev F1" in capsys.readouterr().out
+        spec = json.loads((tmp_path / "run" / "best" / "manifest.json").read_text())["spec"]
+        assert (spec["use_contextual"], spec["ctx_layers"], spec["ctx_dim"]) == (True, 3, 5)
+
+    def test_empty_contextual_store_is_one_line_error(self, data_dir, tmp_path, capsys):
+        (tmp_path / "empty.jsonl").write_text("")
+        status = main(["train", "--config", str(data_dir / "tiny.cfg"),
+                       "--train", str(data_dir / "train.conll"),
+                       "--dev", str(data_dir / "dev.conll"),
+                       "--contextual", str(tmp_path / "empty.jsonl"),
+                       "--checkpoint-dir", str(tmp_path / "run")])
+        assert "store with records" in _single_error(capsys, status)
+
+    @pytest.mark.parametrize("line", ["elmo_dim = 1024", "gamma = 1.0"])
+    def test_keys_that_set_nothing_rejected(self, data_dir, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((data_dir / "tiny.cfg").read_text() + line + "\n")
+        status = main(["train", "--config", str(cfg), "--train", str(data_dir / "train.conll"),
+                       "--dev", str(data_dir / "dev.conll"),
+                       "--checkpoint-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert status == 1 and err.count("\n") == 1
+        assert err.startswith("error: %s:9: unknown config key %r" % (cfg, line.split()[0]))
 
     def test_env_var_overrides_checkpoint_dir(self, data_dir, tmp_path, capsys,
                                               monkeypatch):

@@ -364,25 +364,32 @@ def decode_with(steps, e, layer, prefix):
         return decode_emissions(e, layer), filled[0]
 
 
+def assert_same_bits_but_nan(got, want):
+    """NaN at the same places and every other value bitwise equal. The sum of
+    two NaNs is one of them, and IEEE 754 leaves open which: numpy's kernels
+    differ in it, so a NaN may carry another NaN's bits."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 class TestPrunedViterbiOracle:
     """The pruned step scores only each row's VITERBI_PREFIX best previous
     labels and scans a whole column where a left-out label could reach its
-    max. Forced onto label sets of 3-8 at every prefix 1..L-1, its deltas and
-    back pointers must be bitwise the dense step's, and its labels and score
-    bits the oracle's."""
+    max. Forced onto label sets of 3-8 at every prefix 1..L-1, its deltas
+    must be the dense step's (bitwise, but for the bits of a NaN), its back
+    pointers bitwise the dense step's, and its labels and score the
+    oracle's."""
 
     def check(self, e, layer, prefix):
         got, (deltas, back) = decode_with(crf._pruned_steps, e, layer, prefix)
         dense, (dense_deltas, dense_back) = decode_with(crf._dense_steps, e, layer, prefix)
-        assert deltas.tobytes() == dense_deltas.tobytes()
+        assert_same_bits_but_nan(deltas, dense_deltas)
         assert np.array_equal(back, dense_back)
         assert got.score.tobytes() == dense.score.tobytes()
         want = viterbi_reference(e, layer)
         assert np.array_equal(got.labels, want.labels)
-        # a NaN score may carry another NaN's bits than the oracle's
-        assert np.array_equal(np.isnan(got.score), np.isnan(want.score))
-        finite = ~np.isnan(want.score)
-        assert got.score[finite].tobytes() == want.score[finite].tobytes()
+        assert_same_bits_but_nan(got.score, want.score)
         return got, back
 
     @settings(max_examples=examples(600), deadline=None)
@@ -395,6 +402,20 @@ class TestPrunedViterbiOracle:
     @given(pruned_cases(non_finite=True))
     def test_matches_on_non_finite(self, case):
         self.check(*case)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_plus_nan_delta(self):
+        # row 1's deltas are NaN from t=2 on; at t=5 label 1 adds its NaN
+        # emission to a NaN max, and the pruned step's sum has come out -NaN
+        # where the dense step's is +NaN, with equal back pointers and labels
+        layer = make_layer(7, 7, zero=True)
+        layer.transitions.data[2, 5] = -1.0
+        e = np.full((2, 6, 7), -1.0)
+        e[0, 4, 0] = -0.5
+        e[1, 0, 0], e[1, 1, 0], e[1, 5, 1] = np.inf, -np.inf, np.nan
+        got, back = self.check(e, layer, prefix=1)
+        assert got.labels.tolist() == [[0] * 6] * 2
+        assert got.score[0] == -5.5 and np.isnan(got.score[1])
 
     def test_left_out_tie_on_the_bound_is_scanned(self):
         # prefix {1}; left-out label 0 reaches 1.0 + 1.0 = 2.0, the bound

@@ -4,7 +4,7 @@ import pytest
 from seqlab import numeric as nm
 from seqlab.corpus import build_vocab, encode_batch, parse_conll
 from seqlab.embeddings import ContextualVectorStore, ElmoWeights, random_embeddings
-from seqlab.encoders import BLSTM, CharCNN, DropoutSpec, EncoderError, WordRepresentation
+from seqlab.encoders import BLSTM, CharCNN, EncoderError, WordRepresentation
 from seqlab.numeric import RngState, Tensor, grad_check
 from synthetic_data import add_sentence
 
@@ -99,21 +99,6 @@ class TestBLSTM:
         H = 4
         swapped = np.concatenate([y2[:, ::-1, H:], y2[:, ::-1, :H]], axis=2)
         assert np.allclose(swapped, y1, atol=1e-12)
-
-    def test_eval_mode_pure(self):
-        layer = BLSTM(3, 4, seed=3, prefix="t")
-        x = Tensor(RngState(2).uniform(-1, 1, (1, 3, 3)))
-        a = layer.forward(x, DropoutSpec(), mode="eval").data
-        b = layer.forward(x, DropoutSpec(), mode="eval").data
-        assert np.array_equal(a, b)
-
-    def test_train_dropout_changes_output(self):
-        layer = BLSTM(3, 4, seed=3, prefix="t")
-        x = Tensor(RngState(2).uniform(-1, 1, (1, 3, 3)))
-        rng = RngState(5)
-        a = layer.forward(x, DropoutSpec(), mode="train", rng=rng).data
-        b = layer.forward(x, DropoutSpec(), mode="train", rng=rng).data
-        assert not np.array_equal(a, b)
 
     def test_grad_check(self):
         layer = BLSTM(2, 3, seed=4, prefix="t")

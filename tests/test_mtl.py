@@ -9,7 +9,7 @@ import pytest
 from seqlab import numeric as nm
 from seqlab.corpus import Vocabulary, encode_batch
 from seqlab.crf import viterbi_decode
-from seqlab.embeddings import EmbeddingMatrix
+from seqlab.embeddings import ContextualVectorStore, EmbeddingMatrix
 from seqlab.mtl import (
     ModelSpec,
     SpecError,
@@ -18,8 +18,8 @@ from seqlab.mtl import (
     save_checkpoint,
 )
 from seqlab.numeric import RngState, grad_check, sgd_step
-from synthetic_data import (COARSE, FINE, lm_pair_parameter_count, make_corpus, make_vocab,
-                            parameter_count, tiny_spec_kwargs)
+from synthetic_data import (COARSE, FINE, add_sentence, lm_pair_parameter_count, make_corpus,
+                            make_vocab, parameter_count, tiny_spec_kwargs)
 
 CORPUS = make_corpus(8, seed=0)
 VOCAB = make_vocab(CORPUS, make_corpus(6, seed=1, task=COARSE))
@@ -58,6 +58,11 @@ class TestModelSpec:
     def test_unknown_topology(self):
         with pytest.raises(SpecError):
             ModelSpec(topology="tower")
+
+    @pytest.mark.parametrize("rates", [dict(input_dropout=1.0), dict(blstm_dropout=-0.1)])
+    def test_dropout_rate_outside_unit_interval(self, rates):
+        with pytest.raises(SpecError, match="dropout rate"):
+            ModelSpec(**rates)
 
 
 class TestBuildModel:
@@ -100,11 +105,63 @@ class TestBuildModel:
             if p.name in base:
                 assert np.array_equal(p.data, base[p.name])
 
+    def test_store_must_match_use_contextual(self):
+        store = ContextualVectorStore()
+        for sentence in CORPUS.sentences:
+            add_sentence(store, sentence.tokens, np.zeros((2, len(sentence), 3)))
+        with pytest.raises(SpecError, match="needs use_contextual"):
+            build_model(spec_for("single"), VOCAB, contextual_store=store)
+        with pytest.raises(SpecError, match="with records"):
+            build_model(spec_for("single", use_contextual=True), VOCAB,
+                        contextual_store=ContextualVectorStore())
+
     def test_deterministic_parameter_count(self):
         for topology, lm_mode in valid_combos():
             a = parameter_count(build_model(spec_for(topology, lm_mode), VOCAB))
             b = parameter_count(build_model(spec_for(topology, lm_mode), VOCAB))
             assert a == b
+
+
+class TestDropout:
+    """`forward_task` applies both dropouts, in train mode only."""
+
+    def test_eval_mode_pure(self):
+        for topology in ("single", "hierarchical"):
+            model = build_model(spec_for(topology), VOCAB)
+            rng = RngState(5)
+            a = model.forward_task(batch_of(), FINE, mode="eval", rng=rng).states.data
+            b = model.forward_task(batch_of(), FINE, mode="eval", rng=rng).states.data
+            assert np.array_equal(a, b)
+            assert rng.random() == RngState(5).random()  # no mask was drawn
+
+    def test_train_dropout_changes_output(self):
+        # each dropout alone: the input's, then the BLSTM output's
+        for rates in (dict(blstm_dropout=0.0), dict(input_dropout=0.0)):
+            model = build_model(spec_for("single", **rates), VOCAB)
+            rng = RngState(5)
+            a = model.forward_task(batch_of(), FINE, mode="train", rng=rng).states.data
+            b = model.forward_task(batch_of(), FINE, mode="train", rng=rng).states.data
+            assert not np.array_equal(a, b)
+
+    def test_zero_rates_train_as_eval(self):
+        model = build_model(spec_for("hierarchical", input_dropout=0.0, blstm_dropout=0.0),
+                            VOCAB)
+        train = model.forward_task(batch_of(), FINE, mode="train", rng=RngState(5))
+        assert np.array_equal(train.states.data,
+                              model.forward_task(batch_of(), FINE).states.data)
+
+    def test_hierarchical_mask_order(self):
+        # input, aux output, main input, main output: the order training has
+        # always drawn its masks in
+        model = build_model(spec_for("hierarchical"), VOCAB)
+        batch = batch_of()
+        got = model.forward_task(batch, FINE, mode="train", rng=RngState(5)).states.data
+        rng = RngState(5)
+        raw = model.word_repr.forward(batch)
+        aux = nm.dropout(model.blstms["aux"].forward(nm.dropout(raw, 0.33, rng)), 0.5, rng)
+        x2 = nm.dropout(nm.concat([raw, aux], axis=2), 0.33, rng)
+        want = nm.dropout(model.blstms["main"].forward(x2), 0.5, rng).data
+        assert got.tobytes() == want.tobytes()
 
 
 class TestForwardTask:
