@@ -40,17 +40,6 @@ def not_utf8(path):
     return "%s is not UTF-8" % path
 
 
-class EmbeddingMatrix:
-    """|vocab| x d word-embedding table; row 0 (PAD) is pinned to zero."""
-
-    def __init__(self, matrix, trainable=True, coverage=0):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.d_word = self.matrix.shape[1]
-        self.trainable = trainable
-        self.coverage = coverage
-        self.matrix[0] = 0.0
-
-
 def load_pretrained(path, vocab, seed=0):
     """Read `word f_1 ... f_d` text embeddings for the given vocabulary.
 
@@ -61,7 +50,8 @@ def load_pretrained(path, vocab, seed=0):
     it, else of its normalized form: an exact key beats a normalized one,
     among normalized-only keys the first in file order wins, and a repeated
     key takes its last line. Words left without a vector get rows drawn
-    uniform in +/-sqrt(3/d); the PAD row is zero.
+    uniform in +/-sqrt(3/d). Returns the (|vocab|, d) table; its PAD row
+    (row 0) is zero.
     """
     word_to_id = vocab.word_to_id
     claim = {}  # vocabulary id -> the file key whose vector fills its row
@@ -114,7 +104,8 @@ def load_pretrained(path, vocab, seed=0):
     for idx in word_to_id.values():
         if idx not in claim and idx != 0:
             matrix[idx] = rng.uniform(-bound, bound, dim)
-    return EmbeddingMatrix(matrix, coverage=len(claim))
+    matrix[0] = 0.0
+    return matrix
 
 
 def _floats(lines, dim):
@@ -147,11 +138,13 @@ def _parse_block(lines, linenos, dim):
 
 
 def random_embeddings(vocab, dim, seed=0):
-    """Uniform +/-sqrt(3/d) table for runs without a pretrained file."""
+    """Uniform +/-sqrt(3/d) (|vocab|, d) table for runs without a pretrained
+    file; its PAD row (row 0) is zero."""
     rng = RngState(seed).child("random-embeddings")
     bound = np.sqrt(3.0 / dim)
     matrix = rng.uniform(-bound, bound, (vocab.n_words, dim))
-    return EmbeddingMatrix(matrix)
+    matrix[0] = 0.0
+    return matrix
 
 
 class ElmoWeights:
@@ -168,13 +161,6 @@ class ElmoWeights:
         self.gamma = nm.init_parameter(prefix + ".gamma", (), lambda _: np.array(float(gamma)),
                                        saved)
 
-    @classmethod
-    def frozen_top_layer(cls, n_layers=2, prefix="repr.elmo"):
-        """Weights pinned (numerically) to the top layer with unit scale."""
-        raw = np.full(n_layers, -60.0)
-        raw[-1] = 60.0
-        return cls(n_layers, raw_weights=raw, gamma=1.0, prefix=prefix)
-
     def parameters(self):
         return [self.raw, self.gamma]
 
@@ -182,17 +168,17 @@ class ElmoWeights:
 def elmo_combine(layers, weights):
     """gamma * sum_l softmax(raw)_l * layers[l]; differentiable in raw, gamma.
 
-    `layers` is (L, T, d) as array or Tensor.
+    `layers` is (L, ..., d) as array or Tensor, such as a batch's (L, B, T, d).
     """
     if not isinstance(layers, Tensor):
         layers = Tensor(np.asarray(layers, dtype=np.float64))
-    if layers.ndim != 3 or layers.shape[0] != weights.n_layers:
+    if layers.ndim < 2 or layers.shape[0] != weights.n_layers:
         raise EmbeddingError(
             "expected %d layers, got shape %s" % (weights.n_layers, layers.shape)
         )
     log_s = weights.raw - nm.logsumexp(weights.raw, axis=0)
     s = nm.exp(log_s)
-    mixed = nm.tsum(nm.mul(layers, s.reshape(-1, 1, 1)), axis=0)
+    mixed = nm.tsum(nm.mul(layers, s.reshape((-1,) + (1,) * (layers.ndim - 1))), axis=0)
     return nm.mul(mixed, weights.gamma)
 
 

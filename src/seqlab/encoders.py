@@ -117,43 +117,38 @@ class BLSTM:
 
 class WordRepresentation:
     """Concatenation of word embedding, char-CNN vector, and optional
-    contextual vector per token."""
+    contextual vector per token: the `elmo_weights` mix of the store's
+    layers, or without weights the top layer as it is. `table` is the
+    initial (|vocab|, d_word) word table; a frozen one is never updated."""
 
-    def __init__(self, vocab, embedding_matrix, char_cnn, elmo_weights=None,
-                 contextual_store=None, elmo_trainable=True, saved=None):
-        self.vocab = vocab
+    def __init__(self, table, char_cnn, trainable=True, elmo_weights=None,
+                 contextual_store=None, saved=None):
         self.char_cnn = char_cnn
         self.elmo_weights = elmo_weights
-        self.elmo_trainable = elmo_trainable
         self.contextual_store = contextual_store
-        self.trainable_embeddings = embedding_matrix.trainable
-        self.word_emb = init_parameter("repr.word_emb",
-                                       (vocab.n_words, embedding_matrix.d_word),
-                                       lambda _: embedding_matrix.matrix.copy(), saved,
+        self.word_emb = init_parameter("repr.word_emb", np.shape(table),
+                                       lambda _: np.array(table, dtype=np.float64), saved,
                                        row_sparse=True)
         # a frozen table is no gradient target: nothing would clear its rows
-        self.word_emb.requires_grad = self.trainable_embeddings
-        self.d_word = embedding_matrix.d_word
+        self.word_emb.requires_grad = trainable
 
     @property
     def d_repr(self):
-        d = self.d_word + self.char_cnn.n_filters
+        d = self.word_emb.shape[1] + self.char_cnn.n_filters
         if self.contextual_store is not None:
             d += self.contextual_store.dim
         return d
 
     def parameters(self):
-        params = []
-        if self.trainable_embeddings:
-            params.append(self.word_emb)
+        params = [self.word_emb] if self.word_emb.requires_grad else []
         params.extend(self.char_cnn.parameters())
-        if (self.elmo_weights is not None and self.contextual_store is not None
-                and self.elmo_trainable):
+        if self.elmo_weights is not None:
             params.extend(self.elmo_weights.parameters())
         return params
 
     def forward(self, batch):
-        """Batch -> (B, T, d_repr); input dropout is the caller's."""
+        """Batch -> (B, T, d_repr); input dropout is the caller's. The
+        contextual layers of the B sentences are mixed in one call."""
         from .embeddings import elmo_combine
 
         B, T = batch.token_ids.shape
@@ -162,9 +157,8 @@ class WordRepresentation:
         chars = chars.reshape(B, T, self.char_cnn.n_filters)
         parts = [words, chars]
         if self.contextual_store is not None:
-            ctx_rows = []
-            for tokens in batch.tokens:
-                layers = self.contextual_store.lookup(tokens)
-                ctx_rows.append(elmo_combine(layers, self.elmo_weights))
-            parts.append(nm.stack(ctx_rows, axis=0))  # (B, T, d_ctx)
+            layers = np.stack([self.contextual_store.lookup(tokens) for tokens in batch.tokens],
+                              axis=1)  # (L, B, T, d_ctx)
+            parts.append(layers[-1] if self.elmo_weights is None
+                         else elmo_combine(layers, self.elmo_weights))
         return nm.concat(parts, axis=2)

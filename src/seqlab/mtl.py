@@ -11,7 +11,7 @@ import numpy as np
 from . import numeric as nm
 from .crf import (CRFLayer, crf_nll_batch, emission_scores, softmax_nll_batch,
                   viterbi_decode)
-from .embeddings import ElmoWeights, EmbeddingMatrix, random_embeddings
+from .embeddings import ElmoWeights, random_embeddings
 from .encoders import BLSTM, CharCNN, WordRepresentation
 from .lm import LMHead, joint_loss, lm_losses
 from .numeric import Tensor
@@ -203,6 +203,8 @@ def build_model(spec, vocab, embedding_matrix=None, contextual_store=None, saved
     parameter's initial value does not depend on which other parameters
     exist in the model. A parameter that `saved` (a checkpoint's arrays by
     name) holds takes that array instead, and nothing is drawn for it.
+    `embedding_matrix` is the initial (|vocab|, d) word table; without one
+    the model takes `saved`'s or draws `random_embeddings`.
     """
     spec.validate()
     for task in spec.tasks:
@@ -210,23 +212,24 @@ def build_model(spec, vocab, embedding_matrix=None, contextual_store=None, saved
             raise SpecError("vocabulary has no label set for task %r" % task)
     if spec.use_contextual and not contextual_store:
         raise SpecError("use_contextual requires a contextual vector store with records")
-    if contextual_store is not None and not spec.use_contextual:
-        raise SpecError("a contextual vector store needs use_contextual")
+    if contextual_store is not None:
+        if not spec.use_contextual:
+            raise SpecError("a contextual vector store needs use_contextual")
+        if (contextual_store.n_layers, contextual_store.dim) != (spec.ctx_layers, spec.ctx_dim):
+            raise SpecError("the contextual store has %d layers of width %d, the spec %d of "
+                            "width %d" % (contextual_store.n_layers, contextual_store.dim,
+                                          spec.ctx_layers, spec.ctx_dim))
     saved = saved or {}
-    if embedding_matrix is None:
-        embedding_matrix = (EmbeddingMatrix(saved["repr.word_emb"]) if "repr.word_emb" in saved
-                            else random_embeddings(vocab, spec.d_word, spec.seed))
-    embedding_matrix.trainable = spec.embeddings_trainable
+    table = embedding_matrix if embedding_matrix is not None else saved.get("repr.word_emb")
+    if table is None:
+        table = random_embeddings(vocab, spec.d_word, spec.seed)
     char_cnn = CharCNN(vocab.n_chars, spec.d_char, spec.char_window,
                        spec.char_filters, spec.seed, saved=saved)
-    elmo = None
-    if spec.use_contextual:
-        elmo = (ElmoWeights.frozen_top_layer(spec.ctx_layers) if spec.elmo_frozen
-                else ElmoWeights(spec.ctx_layers, saved=saved))
-    word_repr = WordRepresentation(vocab, embedding_matrix, char_cnn,
-                                   elmo_weights=elmo,
-                                   contextual_store=contextual_store,
-                                   elmo_trainable=not spec.elmo_frozen, saved=saved)
+    # a frozen mix is the store's top layer itself: no weights at all
+    elmo = (ElmoWeights(spec.ctx_layers, saved=saved)
+            if spec.use_contextual and not spec.elmo_frozen else None)
+    word_repr = WordRepresentation(table, char_cnn, spec.embeddings_trainable, elmo,
+                                   contextual_store, saved)
     d_repr = word_repr.d_repr
     blstms = {}
     for level in spec.levels:
@@ -307,7 +310,8 @@ def _fits(value, field):
 def _frozen_tensors(model):
     """Tensors the forward pass reads that are not parameters: the word
     table when it is frozen (a rebuilt model would draw it afresh)."""
-    return [] if model.word_repr.trainable_embeddings else [model.word_repr.word_emb]
+    table = model.word_repr.word_emb
+    return [] if table.requires_grad else [table]
 
 
 def _is_param_record(rec):
@@ -330,7 +334,10 @@ def load_checkpoint(directory, contextual_store=None):
     from .corpus import Vocabulary
 
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise SpecError("malformed checkpoint manifest: %s" % e) from None
     if not isinstance(manifest, dict) or manifest.get("format") != "seqlab-checkpoint-v1":
         raise SpecError("unrecognized checkpoint format")
     missing = [k for k in ("spec", "vocab", "vocab_sha256", "params") if k not in manifest]

@@ -25,7 +25,6 @@ __all__ = [
     "mul",
     "matmul",
     "concat",
-    "stack",
     "exp",
     "tsum",
     "logsumexp",
@@ -354,17 +353,6 @@ def concat(tensors, axis):
                 t.accumulate(piece)
 
     return make_node(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
-
-
-def stack(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate(np.take(g, i, axis=axis))
-
-    return make_node(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def _getitem(a, key):

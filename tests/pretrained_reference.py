@@ -8,7 +8,7 @@ the streamed, C-parsed loader against this on valid files.
 import numpy as np
 
 from seqlab.corpus import normalize_word
-from seqlab.embeddings import EmbeddingError, EmbeddingMatrix
+from seqlab.embeddings import EmbeddingError
 from seqlab.numeric import RngState
 
 
@@ -43,12 +43,11 @@ def load_pretrained(path, vocab, seed=0):
     rng = RngState(seed).child("pretrained-oov")
     bound = np.sqrt(3.0 / dim)
     matrix = np.zeros((vocab.n_words, dim))
-    coverage = 0
     for word, idx in word_to_id.items():
         key = exact.get(idx, normalized.get(idx))
         if key is not None:
             matrix[idx] = vectors[key]
-            coverage += 1
         elif idx != 0:
             matrix[idx] = rng.uniform(-bound, bound, dim)
-    return EmbeddingMatrix(matrix, coverage=coverage)
+    matrix[0] = 0.0  # PAD
+    return matrix

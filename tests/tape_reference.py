@@ -2,16 +2,18 @@
 
 Each function builds the per-step graph of elementary `numeric` ops that a
 fused primitive replaces. Tests compare the fused node's outputs and
-gradients against these. The elementwise ops that only these graphs use
-(`tanh`, `sigmoid`, `log`, `tmax`) live here too. `viterbi_reference` is the
+gradients against these. The ops that only these graphs use (`tanh`,
+`sigmoid`, `log`, `tmax`, `stack`) live here too. `viterbi_reference` is the
 decoder that adds each emission before the max, kept as the oracle of
-`crf.viterbi_decode`.
+`crf.viterbi_decode`; `elmo_mix_per_sentence` is the contextual mix one
+sentence at a time, kept as the oracle of the batched mix.
 """
 
 import numpy as np
 
 from seqlab import numeric as nm
 from seqlab.crf import STEP_BUFFER_ELEMS, PathScore
+from seqlab.embeddings import elmo_combine
 from seqlab.numeric import Tensor, make_node
 
 
@@ -54,6 +56,21 @@ def tmax(a, axis):
     return make_node(out_data, (a,), backward)
 
 
+def stack(tensors, axis=0):
+    def backward(g):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t.accumulate(np.take(g, i, axis=axis))
+
+    return make_node(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
+
+
+def elmo_mix_per_sentence(store, batch, weights):
+    """(B, T, d) contextual columns: one `elmo_combine` per sentence of the
+    batch over its (L, T, d) layers, stacked."""
+    return stack([elmo_combine(store.lookup(tokens), weights) for tokens in batch.tokens])
+
+
 def lstm_direction(x, wx, wh, b, reverse=False):
     """One LSTM direction as add/matmul/sigmoid/tanh/mul nodes per step."""
     B, T, d = x.shape
@@ -72,7 +89,7 @@ def lstm_direction(x, wx, wh, b, reverse=False):
         c = nm.add(nm.mul(f, c), nm.mul(i, g))
         h = nm.mul(o, tanh(c))
         outputs[t] = h
-    return nm.stack(outputs, axis=1)  # (B, T, H)
+    return stack(outputs, axis=1)  # (B, T, H)
 
 
 def crf_log_z(emissions, layer):

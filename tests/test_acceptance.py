@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from seqlab.corpus import encode_batch
-from seqlab.embeddings import ElmoWeights, elmo_combine
+from seqlab.embeddings import ContextualVectorStore, ElmoWeights, elmo_combine
 from seqlab.evaluation import f1_score
 from seqlab.mtl import ModelSpec, build_model
 from seqlab.numeric import RngState
 from seqlab.selftest import FIXTURES, crf_exactness_suite, run_fixture
 from seqlab.trainer import TrainConfig, sample_task, train
-from synthetic_data import (COARSE, FINE, lm_pair_parameter_count, make_corpus, make_vocab,
-                            parameter_count, tiny_spec_kwargs)
+from synthetic_data import (COARSE, FINE, add_sentence, lm_pair_parameter_count, make_corpus,
+                            make_vocab, parameter_count, tiny_spec_kwargs)
 
 
 @contextlib.contextmanager
@@ -116,9 +116,17 @@ def test_contextual_combination():
     layers = rng.uniform(-3, 3, (2, 5, 7))
 
     with criterion("frozen layer weights reproduce the top layer exactly"):
-        frozen = ElmoWeights.frozen_top_layer(n_layers=2)
-        out = elmo_combine(layers, frozen)
-        assert np.array_equal(out.data, layers[-1])
+        corpus = make_corpus(8, seed=0)
+        store = ContextualVectorStore()
+        for sentence in corpus.sentences:
+            add_sentence(store, sentence.tokens, rng.uniform(-3, 3, (2, len(sentence), 7)))
+        spec = small_spec("single", use_contextual=True, ctx_layers=2, ctx_dim=7,
+                          elmo_frozen=True)
+        model = build_model(spec, make_vocab(corpus), contextual_store=store)
+        sents = [s for s in corpus.sentences if len(s) == len(corpus.sentences[0])]
+        batch = encode_batch(sents, list(range(len(sents))), model.vocab)
+        out = model.word_repr.forward(batch).data[:, :, -7:]
+        assert out.tobytes() == np.stack([store.lookup(t)[-1] for t in batch.tokens]).tobytes()
 
     with criterion("combination linear in the scale factor within 1e-12"):
         for g in (0.25, 1.5, 3.0):

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqlab.cli import (
     CliError,
@@ -332,6 +335,80 @@ class TestCorruptCheckpoint:
         (model / "params.bin").write_bytes(payload[:-12])
         err = self.evaluate(model, data_dir, capsys)
         assert "need %d bytes, params.bin has %d" % (len(payload), len(payload) - 12) in err
+
+    def test_deeply_nested_manifest(self, model, data_dir, capsys):
+        (model / "manifest.json").write_text("[" * 200000)
+        err = self.evaluate(model, data_dir, capsys)
+        assert err.startswith("error: malformed checkpoint manifest: maximum recursion depth")
+
+
+# byte runs spliced into a file: any bytes, or JSON punctuation and literals
+JUNK = st.one_of(st.binary(min_size=1, max_size=3),
+                 st.sampled_from([b"[", b"]", b"{", b"}", b'"', b",", b":", b"0", b"9", b"-",
+                                  b"null", b"true", b"\xff", b"[" * 5000]))
+EDITS = st.lists(st.tuples(st.floats(0, 1), JUNK, st.integers(0, 3)), max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats(-2, 64) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _json_paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+class TestCheckpointFuzz:
+    """`evaluate --model` on a truncated or garbled checkpoint either
+    succeeds or prints one `error:` line and exits 1."""
+
+    @pytest.fixture(scope="class")
+    def model(self, run_dir, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "model"
+        shutil.copytree(run_dir / "best", path)
+        return path, {name: (path / name).read_bytes()
+                      for name in ("manifest.json", "params.bin")}
+
+    def evaluate(self, model, data_dir, files):
+        path, pristine = model
+        for name, data in dict(pristine, **files).items():
+            (path / name).write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["evaluate", "--model", str(path),
+                           "--test", str(data_dir / "dev.conll")])
+        assert status == 0 or (status == 1 and err.getvalue().startswith("error: ")
+                               and err.getvalue().count("\n") == 1), err.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["manifest.json", "params.bin"]), edits=EDITS,
+           cut=st.none() | st.floats(0, 1))
+    def test_garbled_bytes(self, model, data_dir, name, edits, cut):
+        data = model[1][name]
+        for at, junk, drop in edits:
+            i = int(at * len(data))
+            data = data[:i] + junk + data[i + drop:]
+        if cut is not None:
+            data = data[:int(cut * len(data))]
+        self.evaluate(model, data_dir, {name: data})
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(["format", "spec", "vocab", "vocab_sha256", "params"]),
+           where=st.floats(0, 1), value=JSON_VALUES)
+    def test_garbled_values(self, model, data_dir, key, where, value):
+        manifest = json.loads(model[1]["manifest.json"])
+        # below its top level the vocabulary only ever reaches the hash check
+        paths = [p for p in _json_paths(manifest[key], (key,)) if key != "vocab" or len(p) < 3]
+        *parents, last = paths[min(int(where * len(paths)), len(paths) - 1)]
+        node = manifest
+        for step in parents:
+            node = node[step]
+        node[last] = value
+        self.evaluate(model, data_dir, {"manifest.json": json.dumps(manifest).encode()})
 
 
 @pytest.mark.parametrize("record", [

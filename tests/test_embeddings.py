@@ -20,6 +20,7 @@ from seqlab.embeddings import (
     elmo_combine,
     load_contextual_store,
     load_pretrained,
+    random_embeddings,
     sentence_key,
 )
 from seqlab.numeric import RngState, Tensor, grad_check
@@ -37,25 +38,25 @@ class TestLoadPretrained:
         path.write_text("hello 0.1 0.2\n")
         v = vocab_of(["hello"])
         m = load_pretrained(path, v)
-        assert m.d_word == 2
-        assert m.matrix[v.word_id("hello")].tolist() == [0.1, 0.2]
-        assert m.coverage == 1
+        assert m.shape == (v.n_words, 2)
+        assert m[v.word_id("hello")].tolist() == [0.1, 0.2]
 
     def test_oov_bound(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("other 1.0 1.0\n")
         v = vocab_of(["missing"])
         m = load_pretrained(path, v)
-        row = m.matrix[v.word_id("missing")]
+        row = m[v.word_id("missing")]
         bound = np.sqrt(3.0 / 2)
         assert np.all(np.abs(row) <= bound)
         assert np.any(row != 0)
 
     def test_pad_row_zero(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("a 1.0 2.0\n")
+        path.write_text("a 1.0 2.0\n<PAD> 3.0 4.0\n")
         m = load_pretrained(path, vocab_of(["a"]))
-        assert np.array_equal(m.matrix[0], np.zeros(2))
+        assert m[0].tolist() == [0.0, 0.0]
+        assert random_embeddings(vocab_of(["a"]), 3)[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_dim_mismatch(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -109,15 +110,14 @@ class TestLoadPretrained:
         # the C reader strips U+001C..U+001F around a value; float() rejects them
         path = tmp_path / "emb.txt"
         path.write_text("a \x1c1 2\x1f\n")
-        assert load_pretrained(path, vocab_of(["a"])).matrix[4].tolist() == [1.0, 2.0]
+        assert load_pretrained(path, vocab_of(["a"]))[4].tolist() == [1.0, 2.0]
 
     def test_cased_and_digit_keys_are_found(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("Paris 1 2\nb52 3 4\nrome 5 6\n")
         v = vocab_of(["Paris", "b52", "rome"])
         m = load_pretrained(path, v)
-        assert m.coverage == 3
-        assert [m.matrix[v.word_id(w)].tolist() for w in ("Paris", "b52", "rome")] == [
+        assert [m[v.word_id(w)].tolist() for w in ("Paris", "b52", "rome")] == [
             [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
     @pytest.mark.parametrize("text, row", [
@@ -134,7 +134,7 @@ class TestLoadPretrained:
         for block in (1, 4096):
             with mock.patch.object(embeddings, "BLOCK_LINES", block):
                 m = load_pretrained(path, v)
-            assert m.matrix[v.word_id("paris")].tolist() == row and m.coverage == 1
+            assert m[v.word_id("paris")].tolist() == row
 
 
 KEYS = st.one_of(
@@ -198,8 +198,7 @@ class TestLoadPretrainedOracle:
         got, want = load_both(vec_path, text, words, block)
         assert (got is None) == (want is None)  # None: no vector line at all
         if got is not None:
-            assert got.matrix.tobytes() == want.matrix.tobytes()
-            assert got.coverage == want.coverage and got.d_word == want.d_word
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(text=vector_files(), words=CORPUS_WORDS, block=st.integers(1, 4),
@@ -213,18 +212,10 @@ class TestLoadPretrainedOracle:
         got, want = load_both(vec_path, text, words, block)  # raises nothing else
         if got is not None:
             assert want is not None
-            assert got.matrix.tobytes() == want.matrix.tobytes()
-            assert got.coverage == want.coverage
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestElmoCombine:
-    def test_frozen_setting_returns_top_layer(self):
-        rng = RngState(0)
-        layers = rng.uniform(-2, 2, (2, 3, 4))
-        w = ElmoWeights.frozen_top_layer(2)
-        out = elmo_combine(layers, w)
-        assert np.array_equal(out.data, layers[1])
-
     def test_gamma_zero(self):
         w = ElmoWeights(2, gamma=0.0)
         out = elmo_combine(np.ones((2, 3, 4)), w)
@@ -257,6 +248,17 @@ class TestElmoCombine:
     def test_layer_count_mismatch(self):
         with pytest.raises(EmbeddingError):
             elmo_combine(np.zeros((3, 2, 2)), ElmoWeights(2))
+        with pytest.raises(EmbeddingError):
+            elmo_combine(np.zeros(2), ElmoWeights(2))
+
+    def test_any_leading_shape(self):
+        # a batch's (L, B, T, d) layers mix as each sentence's (L, T, d) do
+        layers = RngState(4).uniform(-1, 1, (3, 2, 4, 5))
+        w = ElmoWeights(3, raw_weights=[0.4, -1.1, 0.2], gamma=0.8)
+        batched = elmo_combine(layers, w).data
+        assert batched.shape == (2, 4, 5)
+        for b in range(2):
+            assert batched[b].tobytes() == elmo_combine(layers[:, b], w).data.tobytes()
 
     def test_grad_check(self):
         rng = RngState(3)

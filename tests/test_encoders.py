@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seqlab import numeric as nm
+import tape_reference
+from seqlab import embeddings, numeric as nm
 from seqlab.corpus import build_vocab, encode_batch, parse_conll
 from seqlab.embeddings import ContextualVectorStore, ElmoWeights, random_embeddings
 from seqlab.encoders import BLSTM, CharCNN, EncoderError, WordRepresentation
@@ -129,8 +130,7 @@ class TestWordRepresentation:
             store = ContextualVectorStore()
             add_sentence(store, batch.tokens[0], RngState(9).uniform(-1, 1, (2, 2, d_ctx)))
             weights = ElmoWeights(2)
-        repr_ = WordRepresentation(vocab, emb, cnn, elmo_weights=weights,
-                                   contextual_store=store)
+        repr_ = WordRepresentation(emb, cnn, elmo_weights=weights, contextual_store=store)
         return repr_, batch
 
     def test_d_repr_static(self):
@@ -163,3 +163,60 @@ class TestWordRepresentation:
             return nm.tsum(nm.mul(out, out))
 
         assert grad_check(loss, repr_.parameters()) < 1e-4
+
+
+def equal_length_batch(n=3, length=4):
+    text = "".join("".join("w%d%d O\n" % (b, t) for t in range(length)) + "\n"
+                   for b in range(n))
+    corpus = parse_conll(text, task_name="ner")
+    vocab = build_vocab([corpus])
+    return vocab, encode_batch(corpus.sentences, list(range(n)), vocab, tasks=["ner"])
+
+
+class TestBatchedMix:
+    """`forward` mixes the contextual layers of the whole batch in one
+    `elmo_combine` call; tests/tape_reference.py keeps the per-sentence mix."""
+
+    def make(self):
+        vocab, batch = equal_length_batch()
+        store = ContextualVectorStore()
+        rng = RngState(11)
+        for tokens in batch.tokens:
+            add_sentence(store, tokens, rng.uniform(-2, 2, (3, len(tokens), 5)))
+        weights = ElmoWeights(3, raw_weights=[0.4, -1.3, 0.7], gamma=1.7)
+        repr_ = WordRepresentation(random_embeddings(vocab, 4, seed=0),
+                                   CharCNN(vocab.n_chars, 3, 3, 2, seed=0),
+                                   elmo_weights=weights, contextual_store=store)
+        return repr_, batch, store
+
+    def test_one_call_per_batch(self, monkeypatch):
+        repr_, batch, _ = self.make()
+        shapes = []
+        mix = embeddings.elmo_combine
+        monkeypatch.setattr(embeddings, "elmo_combine",
+                            lambda layers, w: shapes.append(layers.shape) or mix(layers, w))
+        repr_.forward(batch)
+        assert shapes == [(3, 3, 4, 5)]  # (L, B, T, d)
+
+    def test_bitwise_the_per_sentence_mix(self):
+        repr_, batch, store = self.make()
+        got = repr_.forward(batch).data[:, :, -5:]
+        want = tape_reference.elmo_mix_per_sentence(store, batch, repr_.elmo_weights).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_weight_gradients_match_the_per_sentence_mix(self):
+        repr_, batch, store = self.make()
+        weights = repr_.elmo_weights
+        g = RngState(12).uniform(-1, 1, (3, 4, repr_.d_repr))
+
+        def weight_grads(out, g):
+            for p in weights.parameters():
+                p.zero_grad()
+            nm.tsum(nm.mul(out, g)).backward()
+            return [p.grad.copy() for p in weights.parameters()]
+
+        got = weight_grads(repr_.forward(batch), g)
+        want = weight_grads(tape_reference.elmo_mix_per_sentence(store, batch, weights),
+                            g[:, :, -5:])
+        for a, b in zip(got, want):
+            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))

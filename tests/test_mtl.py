@@ -9,7 +9,7 @@ import pytest
 from seqlab import numeric as nm
 from seqlab.corpus import Vocabulary, encode_batch
 from seqlab.crf import viterbi_decode
-from seqlab.embeddings import ContextualVectorStore, EmbeddingMatrix
+from seqlab.embeddings import ContextualVectorStore
 from seqlab.mtl import (
     ModelSpec,
     SpecError,
@@ -36,6 +36,15 @@ def spec_for(topology, lm_mode="none", **overrides):
 def batch_of(n=2):
     sents = [s for s in CORPUS.sentences if len(s) == len(CORPUS.sentences[0])][:n]
     return encode_batch(sents, list(range(len(sents))), VOCAB, tasks=[FINE, COARSE])
+
+
+def contextual_store(layers, dim, seed=17):
+    """A store for every sentence of CORPUS, values uniform in +/-2."""
+    store = ContextualVectorStore()
+    rng = RngState(seed)
+    for sentence in CORPUS.sentences:
+        add_sentence(store, sentence.tokens, rng.uniform(-2, 2, (layers, len(sentence), dim)))
+    return store
 
 
 def valid_combos():
@@ -114,6 +123,17 @@ class TestBuildModel:
         with pytest.raises(SpecError, match="with records"):
             build_model(spec_for("single", use_contextual=True), VOCAB,
                         contextual_store=ContextualVectorStore())
+
+    def test_store_must_match_spec_layers_and_width(self):
+        store = contextual_store(3, 5)
+        build_model(spec_for("single", use_contextual=True, ctx_layers=3, ctx_dim=5), VOCAB,
+                    contextual_store=store)
+        for layers, dim in ((2, 5), (3, 1024)):
+            spec = spec_for("single", use_contextual=True, ctx_layers=layers, ctx_dim=dim)
+            with pytest.raises(SpecError, match="^the contextual store has 3 layers of "
+                                                "width 5, the spec %d of width %d$"
+                                                % (layers, dim)):
+                build_model(spec, VOCAB, contextual_store=store)
 
     def test_deterministic_parameter_count(self):
         for topology, lm_mode in valid_combos():
@@ -273,6 +293,42 @@ class TestForwardTask:
             assert np.array_equal(got[b], np.argmax(e, axis=1))
 
 
+class TestFrozenContextual:
+    """A frozen contextual model (`elmo_frozen`) has no mixing weights: its
+    contextual columns are the store's top layer as it is."""
+
+    def model(self, store):
+        spec = spec_for("hierarchical", "shared", use_contextual=True, ctx_layers=3,
+                        ctx_dim=4, elmo_frozen=True)
+        return build_model(spec, VOCAB, contextual_store=store)
+
+    def test_frozen_setting_returns_top_layer(self):
+        store = ContextualVectorStore()
+        rng = RngState(17)
+        for sentence in CORPUS.sentences:  # exact zeros over non-zero lower layers
+            values = rng.uniform(-2, 2, (3, len(sentence), 4))
+            values[-1, 0, :2] = 0.0
+            values[-1, -1, 2:] = -0.0
+            add_sentence(store, sentence.tokens, values)
+        batch = batch_of(2)
+        columns = self.model(store).word_repr.forward(batch).data[:, :, -4:]
+        want = np.stack([store.lookup(tokens)[-1] for tokens in batch.tokens])
+        assert columns.tobytes() == want.tobytes()
+
+    def test_no_parameter_off_the_model_on_the_tape(self):
+        model = self.model(contextual_store(3, 4))
+        loss = model.forward_task(batch_of(2), FINE, mode="train", rng=RngState(1)).loss
+        seen, todo, on_tape = set(), [loss], set()
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if isinstance(node, nm.Parameter):
+                    on_tape.add(node.name)
+                todo.extend(node._parents)
+        assert on_tape <= {p.name for p in model.parameters()}
+
+
 class TestTapeFreeDecode:
     """`Model.decode` runs its forward pass under `no_grad`; labels and states
     are those of the grad-enabled pass."""
@@ -347,7 +403,8 @@ class TestCheckpoint:
     def pretrained_frozen_model(self):
         spec = spec_for("single", embeddings_trainable=False)
         table = np.random.default_rng(23).normal(0.0, 1.0, (VOCAB.n_words, spec.d_word))
-        return build_model(spec, VOCAB, embedding_matrix=EmbeddingMatrix(table))
+        table[0] = 0.0  # PAD
+        return build_model(spec, VOCAB, embedding_matrix=table)
 
     def test_frozen_pretrained_table_survives_a_checkpoint(self, tmp_path, monkeypatch):
         model = self.pretrained_frozen_model()
