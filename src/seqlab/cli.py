@@ -145,8 +145,6 @@ def cmd_train(args):
         aux_corpus = _read_corpus(args.aux, "aux", "train", args)
         corpora.append(aux_corpus)
     store = load_contextual_store(args.contextual) if args.contextual else None
-    spec = spec_from_config(cfg, store)
-
     pretrained = None
     if args.embeddings:
         try:
@@ -156,9 +154,12 @@ def cmd_train(args):
             raise CliError(not_utf8(args.embeddings)) from None
     vocab = build_vocab(corpora, pretrained_words=pretrained,
                         min_freq=cfg["min_freq"], lm_vocab_size=cfg["lm_vocab_size"])
+    matrix = None
     if args.embeddings:
         matrix = load_pretrained(args.embeddings, vocab, seed=cfg["seed"])
-    else:
+        cfg["glove_dim"] = matrix.shape[1]  # the vector file sets the word width
+    spec = spec_from_config(cfg, store)
+    if matrix is None:
         matrix = random_embeddings(vocab, spec.d_word, seed=cfg["seed"])
     model = build_model(spec, vocab, embedding_matrix=matrix, contextual_store=store)
 

@@ -111,8 +111,7 @@ class BLSTM:
             raise EncoderError(
                 "input dimension %d != layer input size %d" % (x.shape[-1], self.d_in)
             )
-        return nm.concat([nm.lstm_direction(x, *self._dirs["fwd"]),
-                          nm.lstm_direction(x, *self._dirs["bwd"], reverse=True)], axis=2)
+        return nm.blstm(x, self._dirs["fwd"], self._dirs["bwd"])
 
 
 class WordRepresentation:

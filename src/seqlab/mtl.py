@@ -219,6 +219,9 @@ def build_model(spec, vocab, embedding_matrix=None, contextual_store=None, saved
             raise SpecError("the contextual store has %d layers of width %d, the spec %d of "
                             "width %d" % (contextual_store.n_layers, contextual_store.dim,
                                           spec.ctx_layers, spec.ctx_dim))
+    if embedding_matrix is not None and np.shape(embedding_matrix)[1:] != (spec.d_word,):
+        raise SpecError("the word table has shape %s, the spec's d_word is %d"
+                        % (list(np.shape(embedding_matrix)), spec.d_word))
     saved = saved or {}
     table = embedding_matrix if embedding_matrix is not None else saved.get("repr.word_emb")
     if table is None:

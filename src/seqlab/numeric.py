@@ -5,9 +5,15 @@ backward closures, micrograd-style but over numpy arrays), a finite-difference
 gradient checker, and the SGD update rule used by the trainers.
 """
 
+import atexit
 import contextlib
 import hashlib
+import itertools
+import mmap
 import os
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -29,6 +35,7 @@ __all__ = [
     "tsum",
     "logsumexp",
     "lstm_direction",
+    "blstm",
     "learning_rate",
     "gather",
     "gather_nd",
@@ -248,6 +255,17 @@ def no_grad():
         _grad_enabled = previous
 
 
+@contextlib.contextmanager
+def _draining(finish):
+    """When the block raises, wait for the worker's reply before re-raising,
+    so that the next command reads its own reply."""
+    try:
+        yield
+    except BaseException:
+        finish()
+        raise
+
+
 def make_node(data, parents, backward):
     """Tensor holding `data`; when a parent needs gradients (and `no_grad` is
     off) it joins the tape, and `backward(grad)` adds its parents' gradients."""
@@ -398,6 +416,73 @@ def gather_nd(a, *index_arrays):
     return make_node(a.data[idx], (a,), backward)
 
 
+def _lstm_run(x2d, wx, wh, b, B, T, reverse, keep):
+    """One LSTM direction over the (B*T, d) rows `x2d` of (B, T, d) inputs:
+    the (B, T, H) hidden states and, when `keep`, the gate cache its BPTT
+    reads (else None)."""
+    H = wh.shape[0]
+    xw = (x2d @ wx + b).reshape(B, T, 4 * H)
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    out = np.empty((B, T, H))
+    cache = [] if keep else None
+    for t in steps:
+        gates = xw[:, t, :] + h @ wh
+        act = 1.0 / (1.0 + np.exp(-gates))
+        i, f, o = act[:, :H], act[:, H : 2 * H], act[:, 3 * H :]
+        g = np.tanh(gates[:, 2 * H : 3 * H])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        out[:, t, :] = h
+        if keep:
+            cache.append((t, h_prev, c_prev, i, f, g, o, tc))
+    return out, cache
+
+
+def _lstm_grads(grad, cache, x2d, wx, wh, add_wh, need):
+    """BPTT of one direction from its (B, T, H) output gradient. `add_wh`
+    (or None) takes each step's W_h gradient in turn; returns the gradients
+    of the (B*T, d) input rows, W_x and b, each None where `need` is false."""
+    B, T, H = grad.shape
+    dxw = np.empty((B, T, 4 * H))
+    dgates = np.empty((B, 4 * H))
+    dh_next = dc_next = 0.0
+    for t, h_prev, c_prev, i, f, g, o, tc in reversed(cache):
+        dh = grad[:, t, :] + dh_next
+        dc = (dh * o) * (1.0 - tc * tc) + dc_next
+        dgates[:, :H] = ((dc * g) * i) * (1.0 - i)
+        dgates[:, H : 2 * H] = ((dc * c_prev) * f) * (1.0 - f)
+        dgates[:, 2 * H : 3 * H] = (dc * i) * (1.0 - g * g)
+        dgates[:, 3 * H :] = ((dh * tc) * o) * (1.0 - o)
+        dxw[:, t, :] = dgates
+        dc_next = dc * f
+        dh_next = dgates @ wh.T
+        if add_wh is not None:
+            add_wh(h_prev.T @ dgates)
+    dxw2d = dxw.reshape(B * T, 4 * H)
+    need_x, need_wx, need_b = need
+    return (dxw2d @ wx.T if need_x else None, x2d.T @ dxw2d if need_wx else None,
+            dxw2d.sum(axis=0) if need_b else None)
+
+
+def _add_grads(x, wx, b, grads):
+    """Accumulate `_lstm_grads`'s (dx rows, dW_x, db) into x, W_x and b."""
+    for t, g in zip((x, wx, b), grads):
+        if g is not None:
+            t.accumulate(g.reshape(x.shape) if t is x else g)
+
+
+def _needs(x, wx, b):
+    return x.requires_grad, wx.requires_grad, b.requires_grad
+
+
+def _wh_adder(wh):
+    return wh.accumulate if wh.requires_grad else None
+
+
 def lstm_direction(x, wx, wh, b, reverse=False):
     """One LSTM direction over (B, T, d) inputs as a single tape node.
 
@@ -413,52 +498,85 @@ def lstm_direction(x, wx, wh, b, reverse=False):
     """
     x, wx, wh, b = (_as_tensor(t) for t in (x, wx, wh, b))
     B, T, d = x.shape
-    H = wh.shape[0]
     x2d = x.data.reshape(B * T, d)
-    xw = (x2d @ wx.data + b.data).reshape(B, T, 4 * H)
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    out = np.empty((B, T, H))
-    cache = [] if _grad_enabled else None
-    for t in steps:
-        gates = xw[:, t, :] + h @ wh.data
-        act = 1.0 / (1.0 + np.exp(-gates))
-        i, f, o = act[:, :H], act[:, H : 2 * H], act[:, 3 * H :]
-        g = np.tanh(gates[:, 2 * H : 3 * H])
-        c_prev, h_prev = c, h
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        out[:, t, :] = h
-        if cache is not None:
-            cache.append((t, h_prev, c_prev, i, f, g, o, tc))
+    out, cache = _lstm_run(x2d, wx.data, wh.data, b.data, B, T, reverse, _grad_enabled)
 
     def backward(grad):
-        dxw = np.empty((B, T, 4 * H))
-        dgates = np.empty((B, 4 * H))
-        dh_next = dc_next = 0.0
-        for t, h_prev, c_prev, i, f, g, o, tc in reversed(cache):
-            dh = grad[:, t, :] + dh_next
-            dc = (dh * o) * (1.0 - tc * tc) + dc_next
-            dgates[:, :H] = ((dc * g) * i) * (1.0 - i)
-            dgates[:, H : 2 * H] = ((dc * c_prev) * f) * (1.0 - f)
-            dgates[:, 2 * H : 3 * H] = (dc * i) * (1.0 - g * g)
-            dgates[:, 3 * H :] = ((dh * tc) * o) * (1.0 - o)
-            dxw[:, t, :] = dgates
-            dc_next = dc * f
-            dh_next = dgates @ wh.data.T
-            if wh.requires_grad:
-                wh.accumulate(h_prev.T @ dgates)
-        dxw2d = dxw.reshape(B * T, 4 * H)
-        if x.requires_grad:
-            x.accumulate((dxw2d @ wx.data.T).reshape(B, T, d))
-        if wx.requires_grad:
-            wx.accumulate(x2d.T @ dxw2d)
-        if b.requires_grad:
-            b.accumulate(dxw2d.sum(axis=0))
+        _add_grads(x, wx, b, _lstm_grads(grad, cache, x2d, wx.data, wh.data, _wh_adder(wh),
+                                         _needs(x, wx, b)))
 
     return make_node(out, (x, wx, wh, b), backward)
+
+
+def blstm(x, fwd, bwd):
+    """Both directions of a bi-directional LSTM over (B, T, d) inputs as one
+    tape node. `fwd` and `bwd` are (W_x, W_h, b) triples of distinct
+    tensors as `lstm_direction` takes them, `bwd` running from the last
+    timestep to the first. Returns their (B, T, 2H) hidden states side by
+    side. Values and gradients are bitwise those of
+    `concat([lstm_direction(x, *fwd), lstm_direction(x, *bwd, reverse=True)], 2)`:
+    x takes the forward direction's gradient first, and the reverse W_h
+    gradient continues from the value it had before the backward.
+
+    With the tape on, the reverse direction runs in the worker process (see
+    `_Worker`) while the caller runs the forward one, in the forward and in
+    the backward pass alike; the worker holds its gate cache. Under `no_grad`,
+    with nothing to differentiate, before the first backward through a
+    `blstm` node has started the worker, or where none can start, both run
+    on the caller. The parameters must not change between forward and
+    backward.
+    """
+    x = _as_tensor(x)
+    fwd, bwd = (tuple(_as_tensor(t) for t in triple) for triple in (fwd, bwd))
+    (wx, wh, b), (wx_r, wh_r, b_r) = fwd, bwd
+    taped = _grad_enabled and any(t.requires_grad for t in (x,) + fwd + bwd)
+    B, T, d = x.shape
+    x2d = x.data.reshape(B * T, d)
+    apart = {id(t) for t in fwd}.isdisjoint(id(t) for t in bwd)
+    worker = _blstm_worker() if taped and apart else None
+    if worker is None:
+        out_r, cache_r = _lstm_run(x2d, wx_r.data, wh_r.data, b_r.data, B, T, True, taped)
+        out_f, cache_f = _lstm_run(x2d, wx.data, wh.data, b.data, B, T, False, taped)
+        out = np.concatenate([out_f, out_r], axis=2)
+    else:
+        handle = worker.new_handle((B, T, d, wh_r.shape[0]))
+        finish = worker.start("forward", (handle.id, B, T),
+                              (x2d, wx_r.data, wh_r.data, b_r.data), [(B, T, wh_r.shape[0])])
+        with _draining(finish):
+            out_f, cache_f = _lstm_run(x2d, wx.data, wh.data, b.data, B, T, False, taped)
+        out = finish(lambda out_r: np.concatenate([out_f, out_r], axis=2))
+
+    def backward(grad):
+        H = wh.shape[0]
+        g_f, g_r = grad[:, :, :H], grad[:, :, H:]
+        need_r = _needs(x, wx_r, b_r)
+        if worker is None:
+            _add_grads(x, wx, b, _lstm_grads(g_f, cache_f, x2d, wx.data, wh.data,
+                                             _wh_adder(wh), _needs(x, wx, b)))
+            _add_grads(x, wx_r, b_r, _lstm_grads(g_r, cache_r, x2d, wx_r.data, wh_r.data,
+                                                 _wh_adder(wh_r), need_r))
+            if apart:
+                _blstm_worker(start=True)  # for the nodes to come
+            return
+        prior = wh_r.grad if wh_r.grad is not None else np.zeros(wh_r.shape)
+        finish = handle.backward(g_r, prior, need_r + (wh_r.requires_grad,))
+        with _draining(finish):
+            mine = _lstm_grads(g_f, cache_f, x2d, wx.data, wh.data, _wh_adder(wh),
+                               _needs(x, wx, b))
+
+        def take(dx_r, dwx_r, db_r, dwh_r):
+            _add_grads(x, wx, b, mine)
+            _add_grads(x, wx_r, b_r, [g if need else None
+                                      for g, need in zip((dx_r, dwx_r, db_r), need_r)])
+            if wh_r.requires_grad:
+                if wh_r.grad is None:
+                    wh_r.grad = dwh_r.copy()
+                else:
+                    wh_r.grad[...] = dwh_r
+
+        finish(take)
+
+    return make_node(out, (x,) + fwd + bwd, backward)
 
 
 def dropout(a, rate, rng):
@@ -597,6 +715,317 @@ def run_pair(first, second):
     finally:
         theirs = worker.result()
     return theirs, mine
+
+
+# -- the BLSTM worker process ---------------------------------------------
+
+# The worker is a fresh interpreter (a fork of a large trainer would carry
+# its pages) that runs the reverse direction of every taped `blstm` node.
+# Commands and replies are pickled over a pipe each way, and arrays go
+# through a shared memfd arena. The worker ignores SIGINT, never writes to
+# stdout or stderr, and exits when the command pipe reaches EOF (the caller
+# closes it at exit) or when the caller is gone.
+_WORKER_CODE = "import sys; sys.path[:] = %r; from seqlab.numeric import _blstm_serve; " \
+               "_blstm_serve(*%r)"
+
+# glibc gives a freed block above its (dynamic) mmap threshold back to the
+# system, so the worker, which frees a whole gate cache per backward, would
+# fault the same pages in again on every forward; below 32 MiB it keeps them
+_WORKER_MALLOC = {"MALLOC_MMAP_THRESHOLD_": str(1 << 25), "MALLOC_TRIM_THRESHOLD_": str(1 << 25)}
+_SPIN_S = 0.02  # how long a reader polls before it sleeps
+
+
+class _Channel:
+    """One direction of the link to the worker: pickled messages over a
+    pipe, and an eventfd that the reader waits on. A pipe write wakes its
+    reader as a synchronous wakeup, which places the reader on the writer's
+    CPU, where the caller goes on computing; an eventfd wakes it on an idle
+    CPU. Where the process may run on two CPUs or more, the reader first
+    polls for `_SPIN_S`, yielding its CPU between polls, and only then
+    sleeps: on a VM, a CPU that idles for the few milliseconds between two
+    commands runs slower for a while afterwards (on one CPU the polls only
+    take time from the other side). While it sleeps, the reader checks
+    every half second that the other side is `alive()`, else it raises
+    EOFError."""
+
+    def __init__(self, pipe_fd, event_fd, reading):
+        from multiprocessing.connection import Connection
+
+        self.conn = Connection(pipe_fd, readable=reading, writable=not reading)
+        self.event = event_fd
+        self.spin = _SPIN_S if len(os.sched_getaffinity(0)) > 1 else 0.0
+
+    def send(self, message):
+        os.eventfd_write(self.event, 1)
+        self.conn.send(message)
+
+    def recv(self, alive):
+        import select
+
+        poll = select.poll()
+        poll.register(self.event, select.POLLIN)
+        end = time.monotonic() + self.spin
+        while not poll.poll(0):
+            if time.monotonic() > end:
+                while not poll.poll(500):
+                    if not alive():
+                        raise EOFError
+                break
+            os.sched_yield()
+        os.eventfd_read(self.event)
+        return self.conn.recv()
+
+    def close(self):
+        self.conn.close()
+        os.close(self.event)
+
+
+class _Arena:
+    """A memfd that both processes map: the float64 inputs and outputs of
+    one command at a time, at 64-byte offsets. Only the caller grows it."""
+
+    def __init__(self, fd):
+        self.fd, self.size, self.map = fd, 0, None
+
+    def resize(self, size):
+        if size != self.size:
+            if os.fstat(self.fd).st_size < size:
+                os.ftruncate(self.fd, size)
+            self.map = mmap.mmap(self.fd, size)  # the old map goes with its last view
+            self.size = size
+
+    def view(self, slot):
+        offset, shape = slot
+        return np.ndarray(shape, np.float64, self.map, offset)
+
+
+def _layout(shapes):
+    """(offset, shape) slots for arrays of `shapes`, and the bytes they span."""
+    slots, end = [], 0
+    for shape in shapes:
+        slots.append((end, tuple(shape)))
+        end += -(-8 * int(np.prod(shape)) // 64) * 64
+    return slots, end
+
+
+def _worker_forward(caches, arena, handle, B, T, slots):
+    x2d, wx, wh, b = (arena.view(slot).copy() for slot in slots[:4])
+    out, cache = _lstm_run(x2d, wx, wh, b, B, T, True, True)
+    arena.view(slots[4])[...] = out
+    caches[handle] = cache, x2d, wx, wh
+
+
+def _worker_backward(caches, arena, handle, need, slots):
+    cache, x2d, wx, wh = caches.pop(handle)
+    g_slot, prior_slot, dx_slot, dwx_slot, db_slot, dwh_slot = slots
+    dwh = arena.view(prior_slot).copy()
+    add = (lambda g: np.add(dwh, g, out=dwh)) if need[3] else None
+    grads = _lstm_grads(arena.view(g_slot), cache, x2d, wx, wh, add, need[:3])
+    for slot, g in zip((dx_slot, dwx_slot, db_slot, dwh_slot), grads + (dwh,)):
+        arena.view(slot)[...] = g if g is not None else 0.0
+
+
+_WORKER_OPS = {"forward": _worker_forward, "backward": _worker_backward,
+               "count": lambda caches, arena, slots: len(caches)}
+
+
+def _blstm_serve(parent, cmd_fd, cmd_event, reply_fd, reply_event, arena_fd):
+    """The worker's loop: one reply per command, an exception in a command
+    as a one-line error reply; returns at EOF on the command pipe, or when
+    the caller, process `parent`, is gone (also if it died before the loop
+    began)."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    commands = _Channel(cmd_fd, cmd_event, reading=True)
+    replies = _Channel(reply_fd, reply_event, reading=False)
+    arena = _Arena(arena_fd)
+    caches = {}
+    while True:
+        try:
+            op, free, size, args, slots = commands.recv(lambda: os.getppid() == parent)
+        except EOFError:
+            return
+        for handle in free:
+            caches.pop(handle, None)
+        try:
+            arena.resize(size)
+            reply = True, _WORKER_OPS[op](caches, arena, *args, slots)
+        except Exception as e:
+            reply = False, " ".join(("%s: %s" % (type(e).__name__, e)).split())
+        replies.send(reply)
+
+
+class _Handle:
+    """The caller's reference to one node's gate cache in the worker. A
+    handle that dies before its backward goes on the worker's free list,
+    which the next command carries (a finalizer never writes to the pipe)."""
+
+    def __init__(self, worker, id_, shape):
+        self.worker, self.id, self.shape, self.live = worker, id_, shape, True
+
+    def backward(self, g_r, prior, need):
+        """Send the reverse direction's backward; returns its `finish`, whose
+        arrays are the gradients of the input rows, W_x, b and W_h."""
+        if not self.live or self.worker.dead:
+            raise NumericError("this BLSTM node's gate cache is gone: its backward ran "
+                               "already, or the worker that held it exited")
+        self.live = False
+        B, T, d, H = self.shape
+        return self.worker.start("backward", (self.id, need), (g_r, prior),
+                                 [(B * T, d), (d, 4 * H), (4 * H,), (H, 4 * H)])
+
+    def __del__(self):
+        if self.live:
+            self.worker.free.append(self.id)
+
+
+class _Worker:
+    """The caller's end of the worker process. `start` sends one command and
+    returns `finish(take)`, which waits for the reply and returns
+    `take(*output arrays)`; the arrays are views of the arena, valid inside
+    `take` only. One command is in flight at a time (a lock spans start to
+    finish). A worker error or a dead worker raises a one-line NumericError,
+    and a dead worker is replaced at the next backward."""
+
+    def __init__(self):
+        import subprocess
+
+        fds = []
+        try:
+            for _ in range(2):
+                fds += os.pipe()
+                fds.append(os.eventfd(0))
+            fds.append(os.memfd_create("seqlab-blstm"))
+            cmd_r, cmd_w, cmd_event, reply_r, reply_w, reply_event, arena = fds
+            theirs = (cmd_r, cmd_event, reply_w, reply_event, arena)
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", _WORKER_CODE % (sys.path, (os.getpid(),) + theirs)],
+                pass_fds=theirs,
+                env=dict(os.environ, **_WORKER_MALLOC),
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        os.close(cmd_r)
+        os.close(reply_w)
+        self.commands = _Channel(cmd_w, cmd_event, reading=False)
+        self.replies = _Channel(reply_r, reply_event, reading=True)
+        self.arena = _Arena(arena)
+        self.lock = threading.Lock()
+        self.free = []
+        self.handles = itertools.count()  # next() is atomic: callers may race
+        self.dead = False
+
+    def new_handle(self, shape):
+        return _Handle(self, next(self.handles), shape)
+
+    def start(self, op, args, inputs=(), outputs=()):
+        self.lock.acquire()
+        try:
+            slots, size = _layout([a.shape for a in inputs] + list(outputs))
+            if size > self.arena.size:
+                self.arena.resize(max(size, 2 * self.arena.size, 1 << 20))
+            for a, slot in zip(inputs, slots):
+                self.arena.view(slot)[...] = a
+            n = len(self.free)  # a finalizer may append meanwhile
+            free = self.free[:n]
+            del self.free[:n]
+            self.commands.send((op, free, self.arena.size, args, slots))
+        except BaseException as e:
+            self.lock.release()
+            if isinstance(e, OSError):
+                self.close(kill=True)
+                raise NumericError("the BLSTM worker exited (exit code %s)"
+                                   % self.proc.returncode) from None
+            raise
+        outs = slots[len(inputs):]
+
+        def finish(take=None):
+            try:
+                try:
+                    ok, value = self.replies.recv(lambda: self.proc.poll() is None)
+                except BaseException as e:
+                    self.close(kill=True)  # dead, or interrupted with its reply unread
+                    if isinstance(e, (EOFError, OSError)):
+                        raise NumericError("the BLSTM worker exited (exit code %s)"
+                                           % self.proc.returncode) from None
+                    raise
+                if not ok:
+                    raise NumericError("BLSTM worker: " + value)
+                return value if take is None else take(*map(self.arena.view, outs))
+            finally:
+                self.lock.release()
+
+        return finish
+
+    def close(self, kill=False):
+        """Close the pipes and reap the worker, which sees EOF and exits."""
+        import subprocess
+
+        if self.dead:
+            return
+        self.dead = True
+        self.commands.conn.close()
+        os.eventfd_write(self.commands.event, 1)  # the worker wakes to EOF
+        self.commands.close()
+        self.replies.close()
+        os.close(self.arena.fd)
+        if kill:
+            self.proc.kill()
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+    def forget(self):
+        """In a forked child: close this process's copies of the worker's
+        pipes and arena; the worker is the parent's."""
+        self.dead = True
+        self.commands.close()
+        self.replies.close()
+        os.close(self.arena.fd)
+
+
+_worker = None   # the live worker; False where none can start
+
+
+def _blstm_worker(start=False):
+    """The live worker, or None. With `start`, one is started where none is
+    live and the system can run one (memfd, eventfd and `subprocess`). The
+    first backward through a BLSTM node starts it, so a process that only
+    runs forward passes, taped or not, never does."""
+    global _worker
+    if start and (_worker is None or (_worker and _worker.dead)):
+        _worker = False
+        if hasattr(os, "memfd_create") and hasattr(os, "eventfd"):
+            try:
+                _worker = _Worker()
+            except OSError:
+                pass
+    return _worker if _worker and not _worker.dead else None
+
+
+def _stop_worker():
+    global _worker
+    worker, _worker = _worker, None
+    if worker:
+        worker.close()
+
+
+def _forget_worker():
+    global _worker
+    worker, _worker = _worker, None
+    if worker and not worker.dead:
+        worker.forget()
+
+
+atexit.register(_stop_worker)
+if hasattr(os, "register_at_fork"):  # a forked child starts its own worker
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 # -- random state -----------------------------------------------------------

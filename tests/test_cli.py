@@ -16,6 +16,7 @@ from seqlab.cli import (
 )
 from seqlab.corpus import parse_conll
 from seqlab.embeddings import ContextualVectorStore
+from seqlab.mtl import load_checkpoint
 from seqlab.numeric import RngState
 from synthetic_data import COARSE, add_sentence, make_corpus, save_contextual_store, to_conll
 
@@ -242,6 +243,22 @@ class TestTrainEvaluatePredict:
         spec = json.loads((tmp_path / "run" / "best" / "manifest.json").read_text())["spec"]
         assert (spec["use_contextual"], spec["ctx_layers"], spec["ctx_dim"]) == (True, 3, 5)
 
+    def test_embeddings_set_word_width(self, data_dir, tmp_path, capsys):
+        # tiny.cfg says glove_dim = 6; the vector file is 5 wide
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("".join("%s %s\n" % (word, " ".join(["0.5"] * 5))
+                                   for word in ("the", "of", "and")))
+        assert main(["train", "--config", str(data_dir / "tiny.cfg"),
+                     "--train", str(data_dir / "train.conll"),
+                     "--dev", str(data_dir / "dev.conll"), "--embeddings", str(vectors),
+                     "--epochs", "1", "--checkpoint-dir", str(tmp_path / "run")]) == 0
+        assert "glove_dim = 5" in capsys.readouterr().out
+        spec = json.loads((tmp_path / "run" / "best" / "manifest.json").read_text())["spec"]
+        assert spec["d_word"] == 5
+        assert "glove_dim = 5" in (tmp_path / "run" / "run.cfg").read_text()
+        model = load_checkpoint(tmp_path / "run" / "best")
+        assert model.word_repr.word_emb.shape[1] == 5
+
     def test_empty_contextual_store_is_one_line_error(self, data_dir, tmp_path, capsys):
         (tmp_path / "empty.jsonl").write_text("")
         status = main(["train", "--config", str(data_dir / "tiny.cfg"),
@@ -409,6 +426,56 @@ class TestCheckpointFuzz:
             node = node[step]
         node[last] = value
         self.evaluate(model, data_dir, {"manifest.json": json.dumps(manifest).encode()})
+
+
+# text spliced into a column or config file: any bytes, or the separators,
+# markers and line breaks (\r, U+0085, U+2028, form feed) the parsers split on
+TEXT_JUNK = st.one_of(st.binary(min_size=1, max_size=3),
+                      st.sampled_from([b" ", b"\t", b"\n", b"\n\n", b"\r", b"\xc2\x85",
+                                       b"\xe2\x80\xa8", b"\x0c", b"\x00", b"\xff", b"=",
+                                       b"#", b"-DOCSTART-", b"B-", b"I-", b"O", b"E-", b"S-",
+                                       b"true", b"1e999", b"nan", b"-1", b"x" * 5000]))
+TEXT_EDITS = st.lists(st.tuples(st.floats(0, 1), TEXT_JUNK, st.integers(0, 3)), max_size=4)
+
+
+class TestTextLoaderFuzz:
+    """`parse_conll` (through `stats`), `read_scored_file` (through
+    `evaluate --scored`) and `parse_config_file` (through `train --config`)
+    on truncated and garbled files either succeed or print one `error:` line
+    and exit 1. The `train` run has no training file, so a config that
+    parses ends in the one-line error for that file."""
+
+    SCORED = b"-DOCSTART- O O\n\nJohn B-PER B-PER\nsmiled O O\n\nNew B-LOC B-LOC\nYork I-LOC O\n"
+
+    def command(self, kind, path, data_dir, tmp_path):
+        if kind == "conll":
+            return ["stats", "--data", path]
+        if kind == "scored":
+            return ["evaluate", "--scored", path]
+        return ["train", "--config", path, "--train", str(tmp_path / "missing.conll"),
+                "--dev", str(data_dir / "dev.conll"), "--checkpoint-dir", str(tmp_path / "r")]
+
+    @pytest.mark.parametrize("kind", ["conll", "scored", "config"])
+    @settings(max_examples=60, deadline=None)
+    @given(edits=TEXT_EDITS, cut=st.none() | st.floats(0, 1))
+    def test_garbled_text(self, data_dir, tmp_path_factory, kind, edits, cut):
+        tmp_path = tmp_path_factory.mktemp("text")
+        data = {"conll": (data_dir / "train.conll").read_bytes(), "scored": self.SCORED,
+                "config": (data_dir / "tiny.cfg").read_bytes()}[kind]
+        for at, junk, drop in edits:
+            i = int(at * len(data))
+            data = data[:i] + junk + data[i + drop:]
+        if cut is not None:
+            data = data[:int(cut * len(data))]
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(self.command(kind, str(path), data_dir, tmp_path))
+        assert status == 0 or (status == 1 and err.getvalue().startswith("error: ")
+                               and err.getvalue().count("\n") == 1), err.getvalue()
+        if kind == "config":
+            assert status == 1 and not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("record", [

@@ -135,6 +135,15 @@ class TestBuildModel:
                                                 % (layers, dim)):
                 build_model(spec, VOCAB, contextual_store=store)
 
+    def test_word_table_must_match_d_word(self):
+        table = np.zeros((VOCAB.n_words, 5))
+        model = build_model(spec_for("single", d_word=5), VOCAB, embedding_matrix=table)
+        assert model.word_repr.word_emb.shape == (VOCAB.n_words, 5)
+        for bad in (table, np.zeros(VOCAB.n_words)):
+            with pytest.raises(SpecError, match=r"^the word table has shape \[%d(, 5)?\], "
+                                                "the spec's d_word is 6$" % VOCAB.n_words):
+                build_model(spec_for("single", d_word=6), VOCAB, embedding_matrix=bad)
+
     def test_deterministic_parameter_count(self):
         for topology, lm_mode in valid_combos():
             a = parameter_count(build_model(spec_for(topology, lm_mode), VOCAB))
