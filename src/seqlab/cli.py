@@ -149,7 +149,8 @@ def cmd_train(args):
     if args.embeddings:
         try:
             with open(args.embeddings, encoding="utf-8") as fh:
-                pretrained = [line.split(" ", 1)[0] for line in fh if line.strip()]
+                # the keys `load_pretrained` reads: a line without a space is skipped
+                pretrained = [line.split(" ", 1)[0] for line in fh if " " in line]
         except UnicodeDecodeError:
             raise CliError(not_utf8(args.embeddings)) from None
     vocab = build_vocab(corpora, pretrained_words=pretrained,

@@ -168,12 +168,32 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, d):
+        """The inverse of `to_dict`. Every map must take strings to the ids
+        0..n-1, each once, with the reserved tokens at their fixed ids."""
         v = cls()
-        v.word_to_id = dict(d["word_to_id"])
-        v.char_to_id = dict(d["char_to_id"])
-        v.label_to_id = {t: dict(m) for t, m in d["label_to_id"].items()}
-        v.lm_word_to_id = dict(d["lm_word_to_id"])
+        v.word_to_id = _id_map(d["word_to_id"], "word_to_id", RESERVED)
+        v.char_to_id = _id_map(d["char_to_id"], "char_to_id", [PAD, UNK])
+        labels = d["label_to_id"]
+        if type(labels) is not dict:
+            raise CorpusError("label_to_id must map task names to label maps")
+        v.label_to_id = {t: _id_map(m, "label_to_id[%r]" % t, []) for t, m in labels.items()}
+        v.lm_word_to_id = _id_map(d["lm_word_to_id"], "lm_word_to_id", RESERVED)
         return v
+
+
+def _id_map(m, name, reserved):
+    """A copy of `m`, checked to map strings to the ids 0..n-1, each once
+    (ints, not bools), with `reserved[i]` at id i."""
+    if (type(m) is not dict or not set(map(type, m)) <= {str}
+            or not set(map(type, m.values())) <= {int}):
+        raise CorpusError("%s must map strings to integer ids" % name)
+    ids, n = m.values(), len(m)
+    if n and (len(set(ids)) != n or min(ids) != 0 or max(ids) != n - 1):
+        raise CorpusError("%s ids are not 0..%d, each once" % (name, n - 1))
+    if any(m.get(tok) != i for i, tok in enumerate(reserved)):
+        raise CorpusError("%s does not hold %s at ids 0..%d"
+                          % (name, ", ".join(reserved), len(reserved) - 1))
+    return dict(m)
 
 
 def build_vocab(corpora, pretrained_words=None, min_freq=1, lm_vocab_size=5000):

@@ -327,8 +327,9 @@ def _is_param_record(rec):
 def load_checkpoint(directory, contextual_store=None):
     """Rebuild a Model from a checkpoint.
 
-    The manifest's structure, the vocabulary hash, the size of params.bin and
-    every parameter's name and shape are checked; a fault is a SpecError.
+    The manifest's structure, the vocabulary's ids and hash, the size of
+    params.bin and every parameter's name and shape are checked; a fault is
+    a SpecError.
     params.bin is read straight into the parameters' arrays before the model
     is built, so nothing is drawn for a parameter the checkpoint holds. A
     checkpoint written before frozen tensors were saved holds none, and its

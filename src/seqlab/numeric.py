@@ -34,7 +34,6 @@ __all__ = [
     "exp",
     "tsum",
     "logsumexp",
-    "lstm_direction",
     "blstm",
     "learning_rate",
     "gather",
@@ -244,7 +243,7 @@ _grad_enabled = True
 @contextlib.contextmanager
 def no_grad():
     """Build no tape inside the block: every op returns a plain leaf and
-    `lstm_direction` keeps no gate cache. Values are bitwise those of the
+    `blstm` keeps no gate cache. Values are bitwise those of the
     same ops with the tape on. Nests; the previous mode comes back on exit,
     also when the block raises. The mode is process-wide, not per thread."""
     global _grad_enabled
@@ -475,48 +474,17 @@ def _add_grads(x, wx, b, grads):
             t.accumulate(g.reshape(x.shape) if t is x else g)
 
 
-def _needs(x, wx, b):
-    return x.requires_grad, wx.requires_grad, b.requires_grad
-
-
-def _wh_adder(wh):
-    return wh.accumulate if wh.requires_grad else None
-
-
-def lstm_direction(x, wx, wh, b, reverse=False):
-    """One LSTM direction over (B, T, d) inputs as a single tape node.
-
-    `wx` (d, 4H), `wh` (H, 4H) and `b` (4H,) hold the gates in the order
-    input, forget, cell, output; the state starts at zero, and `reverse`
-    runs the recurrence from the last timestep to the first. Returns the
-    (B, T, H) hidden states. The forward caches every step's gate
-    activations (none under `no_grad`); the backward is hand-written BPTT
-    that performs the same floating-point operations in the same order as
-    the per-step graph of add/matmul/sigmoid/tanh/mul nodes it replaces
-    (kept in `tests/tape_reference.py`), so both give bit-identical
-    gradients.
-    """
-    x, wx, wh, b = (_as_tensor(t) for t in (x, wx, wh, b))
-    B, T, d = x.shape
-    x2d = x.data.reshape(B * T, d)
-    out, cache = _lstm_run(x2d, wx.data, wh.data, b.data, B, T, reverse, _grad_enabled)
-
-    def backward(grad):
-        _add_grads(x, wx, b, _lstm_grads(grad, cache, x2d, wx.data, wh.data, _wh_adder(wh),
-                                         _needs(x, wx, b)))
-
-    return make_node(out, (x, wx, wh, b), backward)
-
-
 def blstm(x, fwd, bwd):
     """Both directions of a bi-directional LSTM over (B, T, d) inputs as one
     tape node. `fwd` and `bwd` are (W_x, W_h, b) triples of distinct
-    tensors as `lstm_direction` takes them, `bwd` running from the last
-    timestep to the first. Returns their (B, T, 2H) hidden states side by
-    side. Values and gradients are bitwise those of
-    `concat([lstm_direction(x, *fwd), lstm_direction(x, *bwd, reverse=True)], 2)`:
-    x takes the forward direction's gradient first, and the reverse W_h
-    gradient continues from the value it had before the backward.
+    tensors: `W_x` (d, 4H), `W_h` (H, 4H) and `b` (4H,) hold the gates in the
+    order input, forget, cell, output, and each state starts at zero; `bwd`
+    runs from the last timestep to the first. Returns their (B, T, 2H) hidden
+    states side by side. The backward is hand-written BPTT: values and
+    gradients are bitwise those of the per-step graph of both directions
+    (add/matmul/sigmoid/tanh/mul nodes, kept in `tests/tape_reference.py`),
+    concatenated. x takes the forward direction's gradient first, and the
+    reverse W_h gradient continues from the value it had before the backward.
 
     With the tape on, the reverse direction runs in the worker process (see
     `_Worker`) while the caller runs the forward one, in the forward and in
@@ -549,20 +517,21 @@ def blstm(x, fwd, bwd):
     def backward(grad):
         H = wh.shape[0]
         g_f, g_r = grad[:, :, :H], grad[:, :, H:]
-        need_r = _needs(x, wx_r, b_r)
+        need_f = x.requires_grad, wx.requires_grad, b.requires_grad
+        need_r = x.requires_grad, wx_r.requires_grad, b_r.requires_grad
+        add_f = wh.accumulate if wh.requires_grad else None
         if worker is None:
-            _add_grads(x, wx, b, _lstm_grads(g_f, cache_f, x2d, wx.data, wh.data,
-                                             _wh_adder(wh), _needs(x, wx, b)))
-            _add_grads(x, wx_r, b_r, _lstm_grads(g_r, cache_r, x2d, wx_r.data, wh_r.data,
-                                                 _wh_adder(wh_r), need_r))
+            _add_grads(x, wx, b, _lstm_grads(g_f, cache_f, x2d, wx.data, wh.data, add_f, need_f))
+            add_r = wh_r.accumulate if wh_r.requires_grad else None
+            _add_grads(x, wx_r, b_r, _lstm_grads(g_r, cache_r, x2d, wx_r.data, wh_r.data, add_r,
+                                                 need_r))
             if apart:
                 _blstm_worker(start=True)  # for the nodes to come
             return
         prior = wh_r.grad if wh_r.grad is not None else np.zeros(wh_r.shape)
         finish = handle.backward(g_r, prior, need_r + (wh_r.requires_grad,))
         with _draining(finish):
-            mine = _lstm_grads(g_f, cache_f, x2d, wx.data, wh.data, _wh_adder(wh),
-                               _needs(x, wx, b))
+            mine = _lstm_grads(g_f, cache_f, x2d, wx.data, wh.data, add_f, need_f)
 
         def take(dx_r, dwx_r, db_r, dwh_r):
             _add_grads(x, wx, b, mine)

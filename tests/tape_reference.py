@@ -92,6 +92,12 @@ def lstm_direction(x, wx, wh, b, reverse=False):
     return stack(outputs, axis=1)  # (B, T, H)
 
 
+def blstm(x, fwd, bwd):
+    """Both directions side by side, `bwd` reversed: the per-step graphs
+    that `numeric.blstm` replaces."""
+    return nm.concat([lstm_direction(x, *fwd), lstm_direction(x, *bwd, reverse=True)], 2)
+
+
 def crf_log_z(emissions, layer):
     """Alpha recursion as add/reshape/logsumexp nodes per step."""
     B, T, L = emissions.shape

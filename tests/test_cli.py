@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -259,6 +260,18 @@ class TestTrainEvaluatePredict:
         model = load_checkpoint(tmp_path / "run" / "best")
         assert model.word_repr.word_emb.shape[1] == 5
 
+    def test_vector_line_without_space_adds_no_word(self, data_dir, tmp_path, capsys):
+        # `load_pretrained` skips such a line, so the vocabulary takes no word from it
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("the 0.5 0.5\nzzqword\nqqzword 0.5 0.5\n")
+        assert main(["train", "--config", str(data_dir / "tiny.cfg"),
+                     "--train", str(data_dir / "train.conll"),
+                     "--dev", str(data_dir / "dev.conll"), "--embeddings", str(vectors),
+                     "--epochs", "1", "--checkpoint-dir", str(tmp_path / "run")]) == 0
+        words = load_checkpoint(tmp_path / "run" / "best").vocab.word_to_id
+        assert "qqzword" in words
+        assert not [w for w in words if "zzqword" in w]
+
     def test_empty_contextual_store_is_one_line_error(self, data_dir, tmp_path, capsys):
         (tmp_path / "empty.jsonl").write_text("")
         status = main(["train", "--config", str(data_dir / "tiny.cfg"),
@@ -318,17 +331,54 @@ def _spec_value(key, value):
     return edit
 
 
+def _vocab_sha256(vocab):
+    return hashlib.sha256(json.dumps(vocab, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _vocab_edit(edit):
+    """`edit` applied to the manifest's vocabulary, with `vocab_sha256`
+    recomputed so that the edit gets past the hash check."""
+    def apply(manifest):
+        edit(manifest["vocab"])
+        manifest["vocab_sha256"] = _vocab_sha256(manifest["vocab"])
+        return manifest
+    return apply
+
+
+def _last_id(map_name, value):
+    def edit(vocab):
+        ids = vocab[map_name]
+        ids[max(ids, key=ids.get)] = value
+    return edit
+
+
+def _label_id(pick, value):
+    """Label `pick(labels)` of the main task set to `value(labels)`."""
+    def edit(vocab):
+        labels = vocab["label_to_id"]["main"]
+        labels[pick(labels)] = value(labels)
+    return edit
+
+
+def _swap_reserved(vocab):
+    words = vocab["word_to_id"]
+    words["<PAD>"], words["<UNK>"] = words["<UNK>"], words["<PAD>"]
+
+
 class TestCorruptCheckpoint:
-    """`evaluate --model` on a damaged checkpoint prints one `error:` line."""
+    """`evaluate --model` and `predict --model` on a damaged checkpoint print
+    one `error:` line."""
 
     @pytest.fixture
     def model(self, run_dir, tmp_path):
         shutil.copytree(run_dir / "best", tmp_path / "model")
         return tmp_path / "model"
 
-    def evaluate(self, model, data_dir, capsys):
-        status = main(["evaluate", "--model", str(model),
-                       "--test", str(data_dir / "dev.conll")])
+    def evaluate(self, model, data_dir, capsys, command="evaluate"):
+        argv = {"evaluate": ["--test", str(data_dir / "dev.conll")],
+                "predict": ["--input", str(data_dir / "dev.conll"),
+                            "--output", str(model / "scored.txt")]}[command]
+        status = main([command, "--model", str(model)] + argv)
         err = capsys.readouterr().err
         assert status == 1
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -346,6 +396,24 @@ class TestCorruptCheckpoint:
         path = model / "manifest.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert message in self.evaluate(model, data_dir, capsys)
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("edit, message", [
+        (_label_id(min, len), "label_to_id['main'] ids are not 0.."),
+        (_label_id(max, lambda labels: labels[min(labels)]), "label_to_id['main'] ids are not 0.."),
+        (_label_id(min, lambda labels: True), "label_to_id['main'] must map strings to integer"),
+        (_last_id("word_to_id", "7"), "word_to_id must map strings to integer ids"),
+        (_last_id("word_to_id", 10 ** 6), "word_to_id ids are not 0.."),
+        (_last_id("word_to_id", -1), "word_to_id ids are not 0.."),
+        (_last_id("char_to_id", 10 ** 6), "char_to_id ids are not 0.."),
+        (_swap_reserved, "word_to_id does not hold <PAD>, <UNK>, <START>, <END> at ids 0..3"),
+    ], ids=["label_past_count", "label_twice", "label_bool", "word_str", "word_huge",
+            "word_negative", "char_huge", "reserved_moved"])
+    def test_malformed_vocabulary(self, model, data_dir, capsys, edit, message, command):
+        path = model / "manifest.json"
+        path.write_text(json.dumps(_vocab_edit(edit)(json.loads(path.read_text()))))
+        err = self.evaluate(model, data_dir, capsys, command)
+        assert "malformed vocabulary in checkpoint" in err and message in err
 
     def test_truncated_payload(self, model, data_dir, capsys):
         payload = (model / "params.bin").read_bytes()
@@ -425,6 +493,20 @@ class TestCheckpointFuzz:
         for step in parents:
             node = node[step]
         node[last] = value
+        self.evaluate(model, data_dir, {"manifest.json": json.dumps(manifest).encode()})
+
+    @settings(max_examples=60, deadline=None)
+    @given(where=st.floats(0, 1), value=JSON_VALUES)
+    def test_garbled_vocabulary_values(self, model, data_dir, where, value):
+        """Any value of the vocabulary, at any depth, with its hash recomputed."""
+        manifest = json.loads(model[1]["manifest.json"])
+        paths = list(_json_paths(manifest["vocab"], ("vocab",)))
+        *parents, last = paths[min(int(where * len(paths)), len(paths) - 1)]
+        node = manifest
+        for step in parents:
+            node = node[step]
+        node[last] = value
+        manifest["vocab_sha256"] = _vocab_sha256(manifest["vocab"])
         self.evaluate(model, data_dir, {"manifest.json": json.dumps(manifest).encode()})
 
 

@@ -27,21 +27,54 @@ def tape_size(root):
     return len(seen)
 
 
+@pytest.mark.parametrize("B,T,d,H", [(4, 40, 30, 16), (8, 29, 50, 20), (2, 1, 5, 3)])
+def test_blstm_matches_tape_exactly(B, T, d, H):
+    rng = RngState(B * T + d)
+    x_data = rng.uniform(-1, 1, (B, T, d))
+    fwd, bwd = ([Parameter(rng.uniform(-0.5, 0.5, shape), side + name)
+                 for shape, name in (((d, 4 * H), "wx"), ((H, 4 * H), "wh"), ((4 * H,), "b"))]
+                for side in ("fwd.", "bwd."))
+    results = []
+    for fn in (nm.blstm, tape_reference.blstm):
+        for p in fwd + bwd:
+            p.zero_grad()
+        x = Tensor(x_data, requires_grad=True)
+        out = fn(x, fwd, bwd)
+        weighted_sum_backward(out, RngState(1))
+        results.append([out.data, x.grad] + [p.grad.copy() for p in fwd + bwd])
+    for fused, tape in zip(*results):
+        assert np.array_equal(fused, tape)
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("B,T,d,H", [(4, 40, 30, 16), (8, 29, 50, 20), (2, 1, 5, 3)])
 def test_lstm_direction_matches_tape_exactly(B, T, d, H, reverse):
+    """One direction of `blstm` alone, the other direction's half of the
+    output weighted by zero, against that direction's per-step graph: its
+    half of the output, x's gradient and its three parameter gradients
+    bitwise, and no gradient at all in the other direction's parameters."""
     rng = RngState(B * T + d)
     x_data = rng.uniform(-1, 1, (B, T, d))
-    params = [Parameter(rng.uniform(-0.5, 0.5, shape), name)
-              for shape, name in (((d, 4 * H), "wx"), ((H, 4 * H), "wh"), ((4 * H,), "b"))]
+    fwd, bwd = ([Parameter(rng.uniform(-0.5, 0.5, shape), side + name)
+                 for shape, name in (((d, 4 * H), "wx"), ((H, 4 * H), "wh"), ((4 * H,), "b"))]
+                for side in ("fwd.", "bwd."))
+    mine, other = (bwd, fwd) if reverse else (fwd, bwd)
+    half = slice(H, None) if reverse else slice(None, H)
+    w = RngState(1).uniform(0.5, 1.5, (B, T, H))
+    w_both = np.zeros((B, T, 2 * H))
+    w_both[:, :, half] = w
     results = []
-    for fn in (nm.lstm_direction, tape_reference.lstm_direction):
-        for p in params:
+    for run in (lambda x: (nm.blstm(x, fwd, bwd), w_both),
+                lambda x: (tape_reference.lstm_direction(x, *mine, reverse=reverse), w)):
+        for p in fwd + bwd:
             p.zero_grad()
         x = Tensor(x_data, requires_grad=True)
-        out = fn(x, *params, reverse=reverse)
-        weighted_sum_backward(out, RngState(1))
-        results.append([out.data, x.grad] + [p.grad.copy() for p in params])
+        out, weights = run(x)
+        nm.tsum(nm.mul(out, Tensor(weights))).backward()
+        out_mine = out.data[:, :, half] if out.shape[2] == 2 * H else out.data
+        results.append([out_mine, x.grad] + [p.grad.copy() for p in mine])
+        if out.shape[2] == 2 * H:
+            assert all(not p.grad.any() for p in other)
     for fused, tape in zip(*results):
         assert np.array_equal(fused, tape)
 

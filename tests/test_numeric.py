@@ -380,25 +380,32 @@ class TestNoGrad:
     def lstm(self, seed=0, B=3, T=40, d=5, H=16):
         rng = RngState(seed)
         x = Tensor(rng.uniform(-1, 1, (B, T, d)))
-        params = [Parameter(rng.uniform(-0.5, 0.5, shape), name) for shape, name in
-                  (((d, 4 * H), "wx"), ((H, 4 * H), "wh"), ((4 * H,), "b"))]
-        return x, params
+        fwd, bwd = ([Parameter(rng.uniform(-0.5, 0.5, shape), side + name)
+                     for shape, name in (((d, 4 * H), "wx"), ((H, 4 * H), "wh"), ((4 * H,), "b"))]
+                    for side in ("fwd.", "bwd."))
+        return x, fwd, bwd
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_direction_same_output_no_tape(self, reverse):
-        x, params = self.lstm()
-        taped = nm.lstm_direction(x, *params, reverse=reverse)
-        for p in params:
+        """Each direction's half of `blstm`'s output, bitwise the same with
+        no tape; the two cases together cover the whole output."""
+        x, fwd, bwd = self.lstm()
+        H = fwd[1].shape[0]
+        half = slice(H, None) if reverse else slice(None, H)
+        taped = nm.blstm(x, fwd, bwd)
+        for p in fwd + bwd:
             p.grad[...] = 0.25
         with nm.no_grad():
-            free = nm.lstm_direction(x, *params, reverse=reverse)
-        assert free.data.tobytes() == taped.data.tobytes()
+            free = nm.blstm(x, fwd, bwd)
+        assert free.data[:, :, half].tobytes() == taped.data[:, :, half].tobytes()
         assert free._backward is None and free._parents == () and not free.requires_grad
         nm.tsum(nm.mul(free, free)).backward()
-        assert all((p.grad == 0.25).all() for p in params)
+        assert all((p.grad == 0.25).all() for p in fwd + bwd)
 
-    def test_lstm_direction_keeps_no_gate_cache(self):
-        x, params = self.lstm(B=8, T=200, H=32)
+    def test_blstm_keeps_no_gate_cache(self, monkeypatch):
+        # both directions on the caller, as `Model.decode` runs them
+        monkeypatch.setattr(nm, "_worker", False)
+        x, fwd, bwd = self.lstm(B=8, T=200, H=32)
 
         def peak(fn):
             tracemalloc.start()
@@ -407,9 +414,9 @@ class TestNoGrad:
             finally:
                 tracemalloc.stop()
 
-        out_bytes, with_tape = peak(lambda: nm.lstm_direction(x, *params))
+        out_bytes, with_tape = peak(lambda: nm.blstm(x, fwd, bwd))
         with nm.no_grad():
-            _, without = peak(lambda: nm.lstm_direction(x, *params))
+            _, without = peak(lambda: nm.blstm(x, fwd, bwd))
         # the gate cache holds several (B, H) arrays per step: at its peak the
         # taped call holds over five times the output's size more
         assert without + 4 * out_bytes < with_tape

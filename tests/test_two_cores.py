@@ -2,7 +2,8 @@
 log-partition and the LM heads give bitwise the same values and gradients
 with the worker thread on and with both halves forced onto the caller.
 `numeric.blstm`, whose reverse direction runs in the worker process, gives
-bitwise the values and gradients of the two-direction graph it replaces."""
+bitwise the values and gradients of the per-step graphs of both directions
+(`tape_reference.blstm`)."""
 
 import os
 import signal
@@ -178,16 +179,6 @@ def test_concurrent_callers_share_one_worker(monkeypatch):
 # -- the BLSTM worker process ------------------------------------------------
 
 
-def two_node_blstm(x, fwd, bwd):
-    return nm.concat([nm.lstm_direction(x, *fwd), nm.lstm_direction(x, *bwd, reverse=True)],
-                     axis=2)
-
-
-def per_step_blstm(x, fwd, bwd):
-    return nm.concat([tape_reference.lstm_direction(x, *fwd),
-                      tape_reference.lstm_direction(x, *bwd, reverse=True)], axis=2)
-
-
 def blstm_run(fn, B, T, d, H, x_grad=True):
     """Output bytes, x's gradient and the six parameter gradients, x and
     each parameter starting from a non-zero gradient (so that the order in
@@ -234,8 +225,7 @@ def blstm_mode(request, monkeypatch):
 def test_blstm_bitwise_two_node_graph_and_tape(B, T, d, H, x_grad, blstm_mode):
     fused = blstm_run(nm.blstm, B, T, d, H, x_grad)
     assert (nm._worker is False) == (blstm_mode == "caller")
-    assert fused == blstm_run(two_node_blstm, B, T, d, H, x_grad)
-    assert fused == blstm_run(per_step_blstm, B, T, d, H, x_grad)
+    assert fused == blstm_run(tape_reference.blstm, B, T, d, H, x_grad)
 
 
 def test_blstm_is_one_node_with_seven_parents():
@@ -246,7 +236,7 @@ def test_blstm_is_one_node_with_seven_parents():
 
 def test_two_live_handles_hierarchical():
     """Two stacked levels, both forwards before one backward: every value
-    and gradient bitwise that of the two-node graphs."""
+    and gradient bitwise that of the per-step graphs."""
     def run(fn):
         low = BLSTM(5, 4, seed=1, prefix="low")
         high = BLSTM(5 + 8, 4, seed=1, prefix="high")
@@ -261,7 +251,7 @@ def test_two_live_handles_hierarchical():
 
     live_worker()
     before = worker_caches()
-    assert run(nm.blstm) == run(two_node_blstm)
+    assert run(nm.blstm) == run(tape_reference.blstm)
     assert worker_caches() == before
 
 
@@ -288,7 +278,7 @@ def test_worker_error_is_one_numeric_error():
         nm.blstm(x, fwd, bad)
     message = str(info.value)
     assert message.startswith("BLSTM worker: ValueError") and "\n" not in message
-    assert blstm_run(nm.blstm, 2, 3, 4, 3) == blstm_run(two_node_blstm, 2, 3, 4, 3)
+    assert blstm_run(nm.blstm, 2, 3, 4, 3) == blstm_run(tape_reference.blstm, 2, 3, 4, 3)
 
 
 def test_dead_worker_is_one_numeric_error_then_replaced():
@@ -303,7 +293,7 @@ def test_dead_worker_is_one_numeric_error_then_replaced():
     assert time.monotonic() - start < 5 and "\n" not in str(info.value)
     assert old.dead and old.proc.returncode == -signal.SIGKILL
     assert nm._blstm_worker() is None
-    assert blstm_run(nm.blstm, 2, 3, 4, 3) == blstm_run(two_node_blstm, 2, 3, 4, 3)
+    assert blstm_run(nm.blstm, 2, 3, 4, 3) == blstm_run(tape_reference.blstm, 2, 3, 4, 3)
     assert nm._worker is not old and not nm._worker.dead
 
 
