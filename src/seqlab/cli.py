@@ -7,8 +7,7 @@ import sys
 from dataclasses import fields
 
 from .corpus import build_vocab, parse_conll, corpus_stats, render_stats
-from .embeddings import (load_contextual_store, load_pretrained, not_utf8,
-                         random_embeddings)
+from .embeddings import load_contextual_store, load_pretrained, not_utf8
 from .evaluation import f1_score, read_scored_file, render_conlleval
 from .mtl import ModelSpec, build_model, load_checkpoint
 from .selftest import FIXTURES, crf_exactness_suite, gradcheck_suite, run_fixture
@@ -137,6 +136,7 @@ def cmd_stats(args):
 def cmd_train(args):
     cfg = resolve_config(args.config, _overrides_from_args(args))
     checkpoint_dir = os.environ.get("SEQLAB_CHECKPOINT_DIR", args.checkpoint_dir)
+    config = TrainConfig(checkpoint_dir=checkpoint_dir, **_config_fields(TrainConfig, cfg))
     main_corpus = _read_corpus(args.train, "main", "train", args)
     dev_corpus = _read_corpus(args.dev, "main", "dev", args)
     aux_corpus = None
@@ -160,8 +160,6 @@ def cmd_train(args):
         matrix = load_pretrained(args.embeddings, vocab, seed=cfg["seed"])
         cfg["glove_dim"] = matrix.shape[1]  # the vector file sets the word width
     spec = spec_from_config(cfg, store)
-    if matrix is None:
-        matrix = random_embeddings(vocab, spec.d_word, seed=cfg["seed"])
     model = build_model(spec, vocab, embedding_matrix=matrix, contextual_store=store)
 
     print("resolved configuration:")
@@ -170,7 +168,6 @@ def cmd_train(args):
     with open(os.path.join(checkpoint_dir, "run.cfg"), "w", encoding="utf-8") as fh:
         fh.write(render_config(cfg) + "\n")
 
-    config = TrainConfig(checkpoint_dir=checkpoint_dir, **_config_fields(TrainConfig, cfg))
     state = train(model, main_corpus, aux_corpus, dev_corpus, config)
     print("trained %d epochs; best dev F1 %.4f; checkpoint %s"
           % (state.epoch, state.best_dev_f1, state.best_checkpoint))

@@ -63,6 +63,13 @@ class ModelSpec:
         for rate in (self.input_dropout, self.blstm_dropout):
             if not 0.0 <= rate < 1.0:
                 raise SpecError("dropout rate %r outside [0, 1)" % rate)
+        for name in ("hidden", "d_word", "d_char", "char_window", "char_filters", "ctx_layers",
+                     "ctx_dim"):
+            width = getattr(self, name)  # an empty contextual store leaves its two None
+            if width is not None and width < 1:
+                raise SpecError("%s must be at least 1, not %r" % (name, width))
+        if not 0.0 <= self.lam < np.inf:
+            raise SpecError("lam must be finite and >= 0, not %r" % self.lam)
 
     @property
     def tasks(self):

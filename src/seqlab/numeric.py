@@ -254,17 +254,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-@contextlib.contextmanager
-def _draining(finish):
-    """When the block raises, wait for the worker's reply before re-raising,
-    so that the next command reads its own reply."""
-    try:
-        yield
-    except BaseException:
-        finish()
-        raise
-
-
 def make_node(data, parents, backward):
     """Tensor holding `data`; when a parent needs gradients (and `no_grad` is
     off) it joins the tape, and `backward(grad)` adds its parents' gradients."""
@@ -507,12 +496,12 @@ def blstm(x, fwd, bwd):
         out_f, cache_f = _lstm_run(x2d, wx.data, wh.data, b.data, B, T, False, taped)
         out = np.concatenate([out_f, out_r], axis=2)
     else:
-        handle = worker.new_handle((B, T, d, wh_r.shape[0]))
-        finish = worker.start("forward", (handle.id, B, T),
-                              (x2d, wx_r.data, wh_r.data, b_r.data), [(B, T, wh_r.shape[0])])
-        with _draining(finish):
-            out_f, cache_f = _lstm_run(x2d, wx.data, wh.data, b.data, B, T, False, taped)
-        out = finish(lambda out_r: np.concatenate([out_f, out_r], axis=2))
+        handle = _Handle(worker, (B, T, d, wh_r.shape[0]))
+        out, cache_f = worker.run_pair(
+            "forward", (handle.id, B, T), (x2d, wx_r.data, wh_r.data, b_r.data),
+            [(B, T, wh_r.shape[0])],
+            lambda: _lstm_run(x2d, wx.data, wh.data, b.data, B, T, False, True),
+            lambda mine, out_r: (np.concatenate([mine[0], out_r], axis=2), mine[1]))
 
     def backward(grad):
         H = wh.shape[0]
@@ -529,11 +518,8 @@ def blstm(x, fwd, bwd):
                 _blstm_worker(start=True)  # for the nodes to come
             return
         prior = wh_r.grad if wh_r.grad is not None else np.zeros(wh_r.shape)
-        finish = handle.backward(g_r, prior, need_r + (wh_r.requires_grad,))
-        with _draining(finish):
-            mine = _lstm_grads(g_f, cache_f, x2d, wx.data, wh.data, add_f, need_f)
 
-        def take(dx_r, dwx_r, db_r, dwh_r):
+        def take(mine, dx_r, dwx_r, db_r, dwh_r):
             _add_grads(x, wx, b, mine)
             _add_grads(x, wx_r, b_r, [g if need else None
                                       for g, need in zip((dx_r, dwx_r, db_r), need_r)])
@@ -543,7 +529,8 @@ def blstm(x, fwd, bwd):
                 else:
                     wh_r.grad[...] = dwh_r
 
-        finish(take)
+        handle.backward(g_r, prior, need_r + (wh_r.requires_grad,), take,
+                        lambda: _lstm_grads(g_f, cache_f, x2d, wx.data, wh.data, add_f, need_f))
 
     return make_node(out, (x,) + fwd + bwd, backward)
 
@@ -676,7 +663,9 @@ def run_pair(first, second):
     `first` must not call `run_pair` (it would wait for its own thread);
     then every result is bitwise that of a serial run. Only large numpy
     calls, which release the interpreter lock, overlap; on one CPU the two
-    halves take turns, about as fast as one thread running both.
+    halves take turns, about as fast as one thread running both. The BLSTM
+    worker process takes the same call (`_Worker.run_pair`), with its
+    command in place of `first`.
     """
     worker = _pair_pool.submit(first)
     try:
@@ -795,7 +784,7 @@ def _worker_backward(caches, arena, handle, need, slots):
 
 
 _WORKER_OPS = {"forward": _worker_forward, "backward": _worker_backward,
-               "count": lambda caches, arena, slots: len(caches)}
+               "count": lambda caches, arena, slots: arena.view(slots[0]).fill(len(caches))}
 
 
 def _blstm_serve(parent, cmd_fd, cmd_event, reply_fd, reply_event, arena_fd):
@@ -830,19 +819,20 @@ class _Handle:
     handle that dies before its backward goes on the worker's free list,
     which the next command carries (a finalizer never writes to the pipe)."""
 
-    def __init__(self, worker, id_, shape):
-        self.worker, self.id, self.shape, self.live = worker, id_, shape, True
+    def __init__(self, worker, shape):
+        self.worker, self.id, self.shape, self.live = worker, next(worker.handles), shape, True
 
-    def backward(self, g_r, prior, need):
-        """Send the reverse direction's backward; returns its `finish`, whose
-        arrays are the gradients of the input rows, W_x, b and W_h."""
+    def backward(self, g_r, prior, need, take, second):
+        """Run the reverse direction's backward in the worker and `second()`
+        on the caller; `take` gets second's result and the gradients of the
+        input rows, W_x, b and W_h (see `_Worker.run_pair`)."""
         if not self.live or self.worker.dead:
             raise NumericError("this BLSTM node's gate cache is gone: its backward ran "
                                "already, or the worker that held it exited")
         self.live = False
         B, T, d, H = self.shape
-        return self.worker.start("backward", (self.id, need), (g_r, prior),
-                                 [(B * T, d), (d, 4 * H), (4 * H,), (H, 4 * H)])
+        return self.worker.run_pair("backward", (self.id, need), (g_r, prior),
+                                    [(B * T, d), (d, 4 * H), (4 * H,), (H, 4 * H)], second, take)
 
     def __del__(self):
         if self.live:
@@ -850,12 +840,9 @@ class _Handle:
 
 
 class _Worker:
-    """The caller's end of the worker process. `start` sends one command and
-    returns `finish(take)`, which waits for the reply and returns
-    `take(*output arrays)`; the arrays are views of the arena, valid inside
-    `take` only. One command is in flight at a time (a lock spans start to
-    finish). A worker error or a dead worker raises a one-line NumericError,
-    and a dead worker is replaced at the next backward."""
+    """The caller's end of the worker process. `run_pair` runs one command
+    in it, one at a time; a worker error or a dead worker raises a one-line
+    NumericError, and a dead worker is replaced at the next backward."""
 
     def __init__(self):
         import subprocess
@@ -888,12 +875,14 @@ class _Worker:
         self.handles = itertools.count()  # next() is atomic: callers may race
         self.dead = False
 
-    def new_handle(self, shape):
-        return _Handle(self, next(self.handles), shape)
-
-    def start(self, op, args, inputs=(), outputs=()):
-        self.lock.acquire()
-        try:
+    def run_pair(self, op, args, inputs, outputs, second, take):
+        """Send command `op` with `inputs` copied into the arena and call
+        `second()` meanwhile; returns `take(second's result, *output arrays)`.
+        The output arrays, of the shapes `outputs`, are views of the arena,
+        valid inside `take` only. As in `numeric.run_pair`, the reply is read
+        also when `second` raises, and a worker error is raised after
+        `second` has finished."""
+        with self.lock:
             slots, size = _layout([a.shape for a in inputs] + list(outputs))
             if size > self.arena.size:
                 self.arena.resize(max(size, 2 * self.arena.size, 1 << 20))
@@ -902,33 +891,28 @@ class _Worker:
             n = len(self.free)  # a finalizer may append meanwhile
             free = self.free[:n]
             del self.free[:n]
-            self.commands.send((op, free, self.arena.size, args, slots))
-        except BaseException as e:
-            self.lock.release()
-            if isinstance(e, OSError):
-                self.close(kill=True)
-                raise NumericError("the BLSTM worker exited (exit code %s)"
-                                   % self.proc.returncode) from None
-            raise
-        outs = slots[len(inputs):]
-
-        def finish(take=None):
             try:
+                self.commands.send((op, free, self.arena.size, args, slots))
+            except OSError:
+                raise self._exited() from None
+            try:
+                mine = second()
+            finally:
                 try:
                     ok, value = self.replies.recv(lambda: self.proc.poll() is None)
-                except BaseException as e:
-                    self.close(kill=True)  # dead, or interrupted with its reply unread
-                    if isinstance(e, (EOFError, OSError)):
-                        raise NumericError("the BLSTM worker exited (exit code %s)"
-                                           % self.proc.returncode) from None
+                except (EOFError, OSError):
+                    raise self._exited() from None
+                except BaseException:
+                    self.close(kill=True)  # interrupted with its reply unread
                     raise
                 if not ok:
                     raise NumericError("BLSTM worker: " + value)
-                return value if take is None else take(*map(self.arena.view, outs))
-            finally:
-                self.lock.release()
+            return take(mine, *map(self.arena.view, slots[len(inputs):]))
 
-        return finish
+    def _exited(self):
+        """Reap a worker found dead; returns the error to raise."""
+        self.close(kill=True)
+        return NumericError("the BLSTM worker exited (exit code %s)" % self.proc.returncode)
 
     def close(self, kill=False):
         """Close the pipes and reap the worker, which sees EOF and exits."""
@@ -936,12 +920,9 @@ class _Worker:
 
         if self.dead:
             return
-        self.dead = True
         self.commands.conn.close()
         os.eventfd_write(self.commands.event, 1)  # the worker wakes to EOF
-        self.commands.close()
-        self.replies.close()
-        os.close(self.arena.fd)
+        self.forget()
         if kill:
             self.proc.kill()
         try:
@@ -951,8 +932,8 @@ class _Worker:
             self.proc.wait()
 
     def forget(self):
-        """In a forked child: close this process's copies of the worker's
-        pipes and arena; the worker is the parent's."""
+        """Close this process's copies of the worker's pipes and arena (in a
+        forked child, the worker is the parent's)."""
         self.dead = True
         self.commands.close()
         self.replies.close()

@@ -32,8 +32,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 0:
             raise TrainerError("epochs/batch_size must be positive, patience >= 0")
-        if self.base_lr <= 0 or self.decay < 0:
-            raise TrainerError("base_lr must be positive and decay >= 0")
+        if not (0 < self.base_lr < math.inf and 0 <= self.decay < math.inf):
+            raise TrainerError("base_lr must be finite and positive, decay finite and >= 0")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise TrainerError("clip_norm must be finite and positive, or None")
 
 
 @dataclass
@@ -137,6 +139,10 @@ def train(model, main_corpus, aux_corpus, dev_corpus, config):
     spec = model.spec
     if spec.topology != "single" and aux_corpus is None:
         raise TrainerError("topology %r requires an auxiliary corpus" % spec.topology)
+    if not main_corpus.sentences:
+        raise TrainerError("the main training corpus has no sentences")
+    if spec.topology != "single" and not aux_corpus.sentences:
+        raise TrainerError("the auxiliary training corpus has no sentences")
     os.makedirs(config.checkpoint_dir, exist_ok=True)
     root = RngState(config.seed)
     rng_shuffle = root.child("shuffle")

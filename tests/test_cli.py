@@ -308,6 +308,53 @@ class TestTrainEvaluatePredict:
         assert not (tmp_path / "ignored").exists()
 
 
+class TestRefuseWhatCannotTrain:
+    """Settings and corpora that cannot train end in one `error:` line and
+    leave no checkpoint."""
+
+    def train(self, data_dir, tmp_path, capsys, *flags, config_lines="", train=None):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((data_dir / "tiny.cfg").read_text() + config_lines)
+        status = main(["train", "--config", str(cfg),
+                       "--train", str(train or data_dir / "train.conll"),
+                       "--dev", str(data_dir / "dev.conll"),
+                       "--checkpoint-dir", str(tmp_path / "run")] + list(flags))
+        err = _single_error(capsys, status)
+        assert not (tmp_path / "run" / "best").exists()
+        return err
+
+    @pytest.mark.parametrize("flags, config_lines, message", [
+        (["--hidden-size", "0"], "", "hidden must be at least 1"),
+        ([], "char_dim = 0\n", "d_char must be at least 1"),
+        ([], "char_window = -1\n", "char_window must be at least 1"),
+        ([], "char_filters = 0\n", "char_filters must be at least 1"),
+        ([], "glove_dim = 0\n", "d_word must be at least 1"),
+        ([], "lambda = nan\n", "lam must be finite and >= 0"),
+        ([], "lambda = -0.5\n", "lam must be finite and >= 0"),
+        (["--lr", "inf"], "", "base_lr must be finite and positive"),
+        (["--lr", "nan"], "", "base_lr must be finite and positive"),
+        (["--decay", "inf"], "", "decay finite and >= 0"),
+        ([], "clip_norm = 0\n", "clip_norm must be finite and positive"),
+        ([], "clip_norm = inf\n", "clip_norm must be finite and positive"),
+    ], ids=["hidden_0", "char_dim_0", "char_window_neg", "char_filters_0", "glove_dim_0",
+            "lambda_nan", "lambda_neg", "lr_inf", "lr_nan", "decay_inf", "clip_0", "clip_inf"])
+    def test_setting(self, data_dir, tmp_path, capsys, flags, config_lines, message):
+        assert message in self.train(data_dir, tmp_path, capsys, *flags,
+                                     config_lines=config_lines)
+
+    def test_empty_train_file(self, data_dir, tmp_path, capsys):
+        (tmp_path / "empty.conll").write_text("")
+        err = self.train(data_dir, tmp_path, capsys, train=tmp_path / "empty.conll")
+        assert "the main training corpus has no sentences" in err
+
+    @pytest.mark.parametrize("topology", ["hierarchical", "embedding_shared"])
+    def test_empty_aux_file(self, data_dir, tmp_path, capsys, topology):
+        (tmp_path / "aux.conll").write_text("")
+        err = self.train(data_dir, tmp_path, capsys, "--aux", str(tmp_path / "aux.conll"),
+                         "--topology", topology)
+        assert "the auxiliary training corpus has no sentences" in err
+
+
 def _as_list(manifest):
     return [manifest]
 
@@ -391,7 +438,10 @@ class TestCorruptCheckpoint:
         (_unknown_spec_key, "unknown keys beam_width"),
         (_spec_value("input_dropout", "0.3"), "spec input_dropout: '0.3' is not of type float"),
         (_spec_value("hidden", "6"), "spec hidden: '6' is not of type int"),
-    ], ids=["list", "no_vocab", "no_params", "unknown_spec_key", "str_dropout", "str_hidden"])
+        (_spec_value("hidden", 0), "hidden must be at least 1"),
+        (_spec_value("lam", float("inf")), "lam must be finite and >= 0"),
+    ], ids=["list", "no_vocab", "no_params", "unknown_spec_key", "str_dropout", "str_hidden",
+            "hidden_0", "lam_inf"])
     def test_malformed_manifest(self, model, data_dir, capsys, edit, message):
         path = model / "manifest.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))

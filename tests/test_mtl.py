@@ -18,6 +18,7 @@ from seqlab.mtl import (
     save_checkpoint,
 )
 from seqlab.numeric import RngState, grad_check, sgd_step
+from seqlab.trainer import TrainConfig, train
 from synthetic_data import (COARSE, FINE, add_sentence, lm_pair_parameter_count, make_corpus,
                             make_vocab, parameter_count, tiny_spec_kwargs)
 
@@ -102,6 +103,26 @@ class TestBuildModel:
         shared = parameter_count(build_model(spec, VOCAB))
         unshared = parameter_count(build_model(spec_for("hierarchical", "unshared"), VOCAB))
         assert unshared - shared == lm_pair_parameter_count(spec.hidden, VOCAB.n_lm_words)
+
+    def test_rnn_shared_unshared_is_shared_bit_for_bit(self, tmp_path):
+        """RNN-shared has one BLSTM level, so `unshared` builds the one head
+        `lm.shared` over the same states: a seeded run with dropout on gives
+        the same history and parameter bytes as `shared`."""
+        dev = make_corpus(4, seed=2, split="dev")
+        aux = make_corpus(6, seed=1, task=COARSE)
+        vocab = make_vocab(CORPUS, aux, dev)
+        runs = []
+        for lm_mode in ("shared", "unshared"):
+            model = build_model(spec_for("rnn_shared", lm_mode), vocab)
+            assert model.spec.input_dropout > 0 and model.spec.blstm_dropout > 0
+            out = tmp_path / lm_mode
+            train(model, CORPUS, aux, dev,
+                  TrainConfig(epochs=2, batch_size=4, seed=7, checkpoint_dir=str(out)))
+            runs.append(([p.name for p in model.parameters()],
+                         [p.data.tobytes() for p in model.parameters()],
+                         (out / "history.jsonl").read_bytes()))
+        assert "lm.shared.fwd_w" in runs[0][0]
+        assert runs[0] == runs[1]
 
     def test_lm_none_has_no_ghost_parameters(self):
         model = build_model(spec_for("hierarchical", "none"), VOCAB)

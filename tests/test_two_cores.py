@@ -207,7 +207,7 @@ def live_worker():
 
 def worker_caches():
     """Gate caches the worker holds, once it has freed dead nodes' caches."""
-    return nm._worker.start("count", ())()
+    return int(nm._worker.run_pair("count", (), (), [(1,)], lambda: None, lambda _, n: n[0]))
 
 
 @pytest.fixture(params=["worker", "caller"])
@@ -295,6 +295,40 @@ def test_dead_worker_is_one_numeric_error_then_replaced():
     assert nm._blstm_worker() is None
     assert blstm_run(nm.blstm, 2, 3, 4, 3) == blstm_run(tape_reference.blstm, 2, 3, 4, 3)
     assert nm._worker is not old and not nm._worker.dead
+
+
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+def test_caller_exception_with_a_command_in_flight(phase, monkeypatch):
+    """The caller's half raises while the worker runs the reverse direction:
+    that exception propagates, the worker's reply is read, and the worker
+    stays usable and holds no cache of the failed node."""
+    real_run = nm._lstm_run
+
+    def run(*args):
+        if not args[6]:  # the forward direction, on the caller
+            raise KeyError("caller")
+        return real_run(*args)
+
+    def grads(*args):
+        raise KeyError("caller")
+
+    layer = BLSTM(4, 3, seed=2, prefix="t")
+    x = Tensor(RngState(0).uniform(-1, 1, (2, 5, 4)), requires_grad=True)
+    live_worker()
+    before = worker_caches()
+    with monkeypatch.context() as patch:
+        if phase == "forward":
+            patch.setattr(nm, "_lstm_run", run)
+            with pytest.raises(KeyError, match="caller"):
+                layer.forward(x)
+        else:
+            out = layer.forward(x)
+            patch.setattr(nm, "_lstm_grads", grads)
+            with pytest.raises(KeyError, match="caller"):
+                nm.tsum(out).backward()
+            del out
+    assert blstm_run(nm.blstm, 2, 3, 4, 3) == blstm_run(tape_reference.blstm, 2, 3, 4, 3)
+    assert worker_caches() == before
 
 
 def gone(pid):
